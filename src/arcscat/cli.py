@@ -113,7 +113,7 @@ def _run_solve(formulation, arc, inc, grid, args):
     sol = solve(formulation, arc, inc, grid, tol=args.tol, maxit=args.maxit)
     if not sol.report.converged:
         raise SystemExit(f"error: GMRES did not converge in {args.maxit} iterations "
-                         f"(residual {sol.report.residuals[-1]:.3e})")
+                         f"(residual {sol.report.final_residual:.3e})")
     return sol
 
 
@@ -338,6 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.maxit < 1:
+        raise SystemExit("error: --maxit must be at least 1")
     return args.func(args)
 
 

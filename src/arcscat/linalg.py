@@ -68,6 +68,8 @@ def gmres(apply_op: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
         raise ValueError("gmres requires a nonzero right-hand side")
     if not (0.0 < tol < 1.0):
         raise ValueError("gmres requires 0 < tol < 1")
+    if maxit < 1:
+        raise ValueError("gmres requires maxit >= 1")
     maxit = min(maxit, n)
 
     basis = np.empty((maxit + 1, n), dtype=complex)

@@ -62,8 +62,10 @@ class Incidence:
     k: float
 
     def __post_init__(self):
-        if self.k <= 0.0:
-            raise ValueError("wavenumber must be positive")
+        if not np.isfinite(self.angle_deg):
+            raise ValueError("incidence angle must be finite")
+        if not (np.isfinite(self.k) and self.k > 0.0):
+            raise ValueError("wavenumber must be finite and positive")
 
     @property
     def direction(self) -> np.ndarray:
@@ -275,7 +277,7 @@ def near_field(sol: Solution, points: np.ndarray,
         vals = w * (kernel @ density)
         vals[near] = np.nan + 1j * np.nan
         out[lo : lo + chunk] = vals
-    return out if points.ndim > 1 else out[0]
+    return out if np.ndim(points) > 1 else out[0]
 
 
 def incident_field(inc: Incidence, points: np.ndarray) -> np.ndarray:

@@ -19,15 +19,10 @@ both angles; the coincidence limit is
 
 using R / |cos theta - cos theta'| -> tau(cos theta).
 
-J_0 and Y_0 follow the classical Cephes evaluation: a rational
-approximation on [0, 5] (with the two leading zeros of J_0 factored
-out), and Hankel-form asymptotics sqrt(2/(pi x)) (P, Q against
-cos/sin(x - pi/4)) beyond, with the phase reduced modulo 2 pi in
-extended precision so it stays accurate at large arguments.  Order one
-uses the power series up to x = 12 and the Hankel asymptotic series
-with adaptive truncation beyond; it is needed only for near-field
-gradients, where ~1e-10 absolute accuracy is ample.  All functions are
-vectorized over numpy arrays.
+J_0, Y_0, J_1 and Y_1 are the scipy.special ufuncs j0, y0, j1, y1; the
+Hankel functions are assembled from them as J + i Y.  The public
+functions validate their input (finite, and x > 0 where Y is involved)
+and are vectorized over numpy arrays.
 """
 
 from __future__ import annotations
@@ -35,264 +30,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
 from .geometry import Arc, eval_arc, speed
 
 EULER_GAMMA = float(np.euler_gamma)
-
-_SQ2OPI = 7.9788456080286535587989e-1  # sqrt(2/pi)
-_PIO4 = 7.85398163397448309616e-1
-
-# Rational-fit coefficients (Cephes Math Library, j0.c / y0.c).
-_RP = [
-    -4.79443220978201773821e9,
-    1.95617491946556577543e12,
-    -2.49248344360967716204e14,
-    9.70862251047306323952e15,
-]
-_RQ = [
-    4.99563147152651017219e2,
-    1.73785401676374683123e5,
-    4.84409658339962045305e7,
-    1.11855537045356834862e10,
-    2.11277520115489217587e12,
-    3.10518229857422583814e14,
-    3.18121955943204943306e16,
-    1.71086294081043136091e18,
-]
-_PP = [
-    7.96936729297347051624e-4,
-    8.28352392107440799803e-2,
-    1.23953371646414299388e0,
-    5.44725003058768775090e0,
-    8.74716500199817011941e0,
-    5.30324038235394892183e0,
-    9.99999999999999997821e-1,
-]
-_PQ = [
-    9.24408810558863637013e-4,
-    8.56288474354474431428e-2,
-    1.25352743901058953537e0,
-    5.47097740330417105182e0,
-    8.76190883237069594232e0,
-    5.30605288235394617618e0,
-    1.00000000000000000218e0,
-]
-_QP = [
-    -1.13663838898469149931e-2,
-    -1.28252718670509318512e0,
-    -1.95539544257735972385e1,
-    -9.32060152123768231369e1,
-    -1.77681167980488050595e2,
-    -1.47077505154951170175e2,
-    -5.14105326766599330220e1,
-    -6.05014350600728481186e0,
-]
-_QQ = [
-    6.43178256118178023184e1,
-    8.56430025976980587198e2,
-    3.88240183605401609683e3,
-    7.24046774195652478189e3,
-    5.93072701187316984827e3,
-    2.06209331660327847417e3,
-    2.42005740240291393179e2,
-]
-_YP = [
-    1.55924367855235737965e4,
-    -1.46639295903971606143e7,
-    5.43526477051876500413e9,
-    -9.82136065717911466409e11,
-    8.75906394395366999549e13,
-    -3.46628303384729719441e15,
-    4.42733268572569800351e16,
-    -1.84950800436986690637e16,
-]
-_YQ = [
-    1.04128353664259848412e3,
-    6.26107330137134956842e5,
-    2.68919633393814121987e8,
-    8.64002487103935000337e10,
-    2.02979612750105546709e13,
-    3.17157752842975028269e15,
-    2.50596256172653059228e17,
-]
-_DR1 = 5.78318596294678452118e0
-_DR2 = 3.04712623436620863991e1
-
-# Three-part split of 2 pi (24 + 24 + 53 significant bits) for exact
-# Cody-Waite reduction of the asymptotic phase up to x ~ 1e8.
-_TWOPI_A = float(np.float32(2.0 * np.pi))
-_TWOPI_B = float(np.float32(2.0 * np.pi - _TWOPI_A))
-_TWOPI_C = 2.0 * np.pi - _TWOPI_A - _TWOPI_B
-
-_J1_SWITCH = 12.0
-_J1_SERIES_TERMS = 42
-
-
-def _polevl(x, coef):
-    ans = np.full_like(x, coef[0])
-    for c in coef[1:]:
-        ans = ans * x + c
-    return ans
-
-
-def _p1evl(x, coef):
-    ans = x + coef[0]
-    for c in coef[1:]:
-        ans = ans * x + c
-    return ans
-
-
-def _reduced_phase(x, offset):
-    """(x - offset) mod 2 pi, removing the 2 pi multiple exactly."""
-    n = np.round(x / (2.0 * np.pi))
-    y = ((x - n * _TWOPI_A) - n * _TWOPI_B) - n * _TWOPI_C
-    return y - offset
-
-
-def _j0v(x):
-    """J_0 on a 1-d nonnegative array."""
-    out = np.empty_like(x)
-    small = x <= 5.0
-    z = x[small] ** 2
-    p = (z - _DR1) * (z - _DR2) * _polevl(z, _RP) / _p1evl(z, _RQ)
-    out[small] = np.where(z < 1e-10, 1.0 - 0.25 * z, p)
-    xl = x[~small]
-    if xl.size:
-        p, q = _pq_large(xl)
-        chi = _reduced_phase(xl, _PIO4)
-        out[~small] = _SQ2OPI * (p * np.cos(chi) - q * np.sin(chi)) / np.sqrt(xl)
-    return out
-
-
-def _y0v(x):
-    """Y_0 on a 1-d positive array."""
-    out = np.empty_like(x)
-    small = x <= 5.0
-    xs = x[small]
-    if xs.size:
-        z = xs * xs
-        j0 = np.where(z < 1e-10, 1.0 - 0.25 * z,
-                      (z - _DR1) * (z - _DR2) * _polevl(z, _RP) / _p1evl(z, _RQ))
-        out[small] = _polevl(z, _YP) / _p1evl(z, _YQ) + (2.0 / np.pi) * np.log(xs) * j0
-    xl = x[~small]
-    if xl.size:
-        p, q = _pq_large(xl)
-        chi = _reduced_phase(xl, _PIO4)
-        out[~small] = _SQ2OPI * (p * np.sin(chi) + q * np.cos(chi)) / np.sqrt(xl)
-    return out
-
-
-def _pq_large(x):
-    z = 25.0 / (x * x)
-    p = _polevl(z, _PP) / _polevl(z, _PQ)
-    q = _polevl(z, _QP) / _p1evl(z, _QQ)
-    return p, (5.0 / x) * q
-
-
-def _j0y0v(x):
-    """J_0 and Y_0 together on a 1-d positive array (shared branch work)."""
-    j0 = np.empty_like(x)
-    y0 = np.empty_like(x)
-    small = x <= 5.0
-    xs = x[small]
-    if xs.size:
-        z = xs * xs
-        r = (z - _DR1) * (z - _DR2) * _polevl(z, _RP) / _p1evl(z, _RQ)
-        r = np.where(z < 1e-10, 1.0 - 0.25 * z, r)
-        j0[small] = r
-        y0[small] = _polevl(z, _YP) / _p1evl(z, _YQ) + (2.0 / np.pi) * np.log(xs) * r
-    xl = x[~small]
-    if xl.size:
-        p, q = _pq_large(xl)
-        chi = _reduced_phase(xl, _PIO4)
-        c, s = np.cos(chi), np.sin(chi)
-        amp = _SQ2OPI / np.sqrt(xl)
-        j0[~small] = amp * (p * c - q * s)
-        y0[~small] = amp * (p * s + q * c)
-    return j0, y0
-
-
-_KERNEL_CHUNK = 1 << 16
-
-
-def _j0y0_chunked(x):
-    """_j0y0v in cache-sized chunks (the rational fits make many array
-    passes; chunking keeps the working set resident)."""
-    flat = x.ravel()
-    j0 = np.empty_like(flat)
-    y0 = np.empty_like(flat)
-    for lo in range(0, flat.size, _KERNEL_CHUNK):
-        sl = slice(lo, lo + _KERNEL_CHUNK)
-        j0[sl], y0[sl] = _j0y0v(flat[sl])
-    return j0.reshape(x.shape), y0.reshape(x.shape)
-
-
-def _j1_series(x):
-    z = -0.25 * x * x
-    term = np.full_like(x, 0.5)
-    acc = term.copy()
-    for m in range(1, _J1_SERIES_TERMS):
-        term = term * z / (m * (m + 1))
-        acc += term
-    return x * acc
-
-
-def _y1_series(x):
-    # Y_1 = (2/pi)(ln(x/2) + gamma) J_1 - 2/(pi x)
-    #       - (x/(2 pi)) sum_m (-z)^m (H_m + H_{m+1}) / (m! (m+1)!),  z = x^2/4
-    z = -0.25 * x * x
-    term = np.full_like(x, 1.0)
-    acc = term.copy()  # H_0 + H_1 = 1
-    h = 0.0
-    for m in range(1, _J1_SERIES_TERMS):
-        term = term * z / (m * (m + 1))
-        h += 1.0 / m
-        acc += term * (2.0 * h + 1.0 / (m + 1))
-    return ((2.0 / np.pi) * (np.log(0.5 * x) + EULER_GAMMA) * _j1_series(x)
-            - 2.0 / (np.pi * x) - (x / (2.0 * np.pi)) * acc)
-
-
-def _pq1_large(x):
-    # Order-one Hankel asymptotic sums, truncated at the smallest term.
-    p = np.ones_like(x)
-    q = np.zeros_like(x)
-    term = np.ones_like(x)
-    sign_q, sign_p = 1.0, -1.0
-    for m in range(1, 22):
-        term = term * (4.0 - (2 * m - 1) ** 2) / (8.0 * m)
-        if m % 2 == 1:
-            q = q + sign_q * term / x ** m
-            sign_q = -sign_q
-        else:
-            p = p + sign_p * term / x ** m
-            sign_p = -sign_p
-    return p, q
-
-
-def _j1y1_large(x):
-    p, q = _pq1_large(x)
-    chi = _reduced_phase(x, 3.0 * _PIO4)
-    amp = _SQ2OPI / np.sqrt(x)
-    return amp * (p * np.cos(chi) - q * np.sin(chi)), amp * (p * np.sin(chi) + q * np.cos(chi))
-
-
-def _j1v(x):
-    out = np.empty_like(x)
-    small = x <= _J1_SWITCH
-    out[small] = _j1_series(x[small])
-    if np.any(~small):
-        out[~small] = _j1y1_large(x[~small])[0]
-    return out
-
-
-def _y1v(x):
-    out = np.empty_like(x)
-    small = x <= _J1_SWITCH
-    out[small] = _y1_series(x[small])
-    if np.any(~small):
-        out[~small] = _j1y1_large(x[~small])[1]
-    return out
 
 
 def _validated(x, name, positive):
@@ -317,32 +59,32 @@ def _dispatch(x, name, positive, kernel, scalar_type=float):
 
 def bessel_j0(x):
     """Bessel function J_0 for x >= 0 (scalar or array)."""
-    return _dispatch(x, "bessel_j0", False, _j0v)
+    return _dispatch(x, "bessel_j0", False, special.j0)
 
 
 def bessel_y0(x):
     """Bessel function Y_0 for x > 0 (scalar or array)."""
-    return _dispatch(x, "bessel_y0", True, _y0v)
+    return _dispatch(x, "bessel_y0", True, special.y0)
 
 
 def hankel1_0(x):
     """First-kind Hankel function H_0^1(x) = J_0(x) + i Y_0(x), x > 0."""
-    return _dispatch(x, "hankel1_0", True, lambda a: _j0v(a) + 1j * _y0v(a), complex)
+    return _dispatch(x, "hankel1_0", True, lambda a: special.j0(a) + 1j * special.y0(a), complex)
 
 
 def bessel_j1(x):
     """Bessel function J_1 for x >= 0 (scalar or array)."""
-    return _dispatch(x, "bessel_j1", False, _j1v)
+    return _dispatch(x, "bessel_j1", False, special.j1)
 
 
 def bessel_y1(x):
     """Bessel function Y_1 for x > 0 (scalar or array)."""
-    return _dispatch(x, "bessel_y1", True, _y1v)
+    return _dispatch(x, "bessel_y1", True, special.y1)
 
 
 def hankel1_1(x):
     """First-kind Hankel function H_1^1(x) = J_1(x) + i Y_1(x), x > 0."""
-    return _dispatch(x, "hankel1_1", True, lambda a: _j1v(a) + 1j * _y1v(a), complex)
+    return _dispatch(x, "hankel1_1", True, lambda a: special.j1(a) + 1j * special.y1(a), complex)
 
 
 @dataclass(frozen=True)
@@ -356,7 +98,8 @@ class KernelSplit:
 def _a1a2_offdiag(k, dist, log_dcos):
     """A1 (real) and A2 (complex) from precomputed distances R and
     ln|cos t - cos t'|."""
-    j0, y0 = _j0y0_chunked(k * dist)
+    kr = k * dist
+    j0, y0 = special.j0(kr), special.y0(kr)
     a1 = j0 / (-2.0 * np.pi)
     a2 = np.empty(dist.shape, dtype=complex)
     a2.real = j0 * (log_dcos / (2.0 * np.pi)) - 0.25 * y0

@@ -73,6 +73,12 @@ def test_inadmissible_grid_rejected(tmp_path):
              "--out", str(tmp_path)])
 
 
+def test_maxit_below_one_rejected(tmp_path):
+    with pytest.raises(SystemExit, match="--maxit must be at least 1"):
+        run(["solve", "--arc", "strip", "--ratio", "10", "--n", "128",
+             "--maxit", "0", "--out", str(tmp_path)])
+
+
 def test_bad_formulation_combo_rejected(tmp_path):
     with pytest.raises(SystemExit):
         run(["solve", "--arc", "strip", "--ratio", "10", "--n", "128",

@@ -73,6 +73,12 @@ def test_gmres_input_validation():
         gmres(lambda u: u * np.nan, np.ones(4, dtype=complex))
 
 
+@pytest.mark.parametrize("maxit", [0, -3])
+def test_gmres_rejects_maxit_below_one(maxit):
+    with pytest.raises(ValueError, match="maxit"):
+        gmres(lambda u: u, np.ones(4, dtype=complex), maxit=maxit)
+
+
 def test_gmres_on_second_kind_operator_converges_fast():
     # eigenvalues clustered near -1/4 give rapid Krylov convergence
     g = theta_grid(256)

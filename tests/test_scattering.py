@@ -37,6 +37,12 @@ def make_solution(formulation, grid, values, arc=None, k=1.0):
 # ---------------------------------------------------------------------------
 # right-hand sides
 # ---------------------------------------------------------------------------
+@pytest.mark.parametrize("angle,k", [(np.nan, 3.0), (90.0, np.nan), (90.0, np.inf)])
+def test_incidence_rejects_non_finite(angle, k):
+    with pytest.raises(ValueError):
+        Incidence(angle, k)
+
+
 def test_rhs_te_low_frequency_limit():
     arc = make_arc("strip")
     g = theta_grid(16)
@@ -291,6 +297,17 @@ def test_near_field_zero_density():
     pts = np.array([[0.5, 1.0], [-2.0, 0.3]])
     u = near_field(sol, pts)
     assert np.max(np.abs(u)) == 0.0
+
+
+def test_near_field_accepts_list_and_tuple_points():
+    g = theta_grid(32)
+    sol = make_solution("TE_S", g, np.ones(32, dtype=complex), k=3.0)
+    from_list = near_field(sol, [[0, 1], [0, 2]])
+    assert from_list.shape == (2,)
+    assert np.array_equal(from_list, near_field(sol, np.array([[0.0, 1.0], [0.0, 2.0]])))
+    from_tuple = near_field(sol, (0.0, 1.0))
+    assert np.ndim(from_tuple) == 0
+    assert from_tuple == near_field(sol, np.array([0.0, 1.0]))
 
 
 def test_near_field_masks_points_on_arc():

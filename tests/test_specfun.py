@@ -1,8 +1,9 @@
 """Bessel/Hankel evaluation and the Helmholtz kernel split.
 
 Reference values come from independent routes: mpmath (arbitrary
-precision) for frozen point values, scipy.special for random sweeps, and
-direct Green-function evaluation for the kernel split.
+precision) for frozen point values and direct Green-function evaluation
+for the kernel split.  The scipy.special sweeps check the wrappers only,
+since specfun evaluates the same scipy ufuncs.
 """
 
 import math
@@ -92,9 +93,11 @@ def test_order_one_against_scipy():
 
 def test_mpmath_spot_values():
     mpmath.mp.dps = 30
-    for x in (0.37, 2.0, 7.7, 15.5, 123.25):
+    for x in (0.37, 2.0, 7.7, 12.0, 15.5, 123.25, 1e3, 1e4):
         assert abs(bessel_j0(x) - float(mpmath.besselj(0, x))) < 2e-14
         assert abs(bessel_y0(x) - float(mpmath.bessely(0, x))) < 2e-14
+        assert abs(bessel_j1(x) - float(mpmath.besselj(1, x))) < 2e-14
+        assert abs(bessel_y1(x) - float(mpmath.bessely(1, x))) < 2e-14
 
 
 def test_wronskian():
