@@ -29,7 +29,6 @@ from .operators import (
     apply_S0tau_inverse,
     assemble_dense,
     build_log_quad,
-    build_Ng_matrix,
     build_S_matrix,
     dense_operator,
     s0_eigenvalue,

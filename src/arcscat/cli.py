@@ -86,6 +86,9 @@ def _make_arc(args):
 def _wavenumber(args, arc):
     if (args.ratio is None) == (args.k is None):
         raise SystemExit("error: provide exactly one of --ratio and --k")
+    value = args.ratio if args.ratio is not None else args.k
+    if not (np.isfinite(value) and value > 0.0):
+        raise SystemExit("error: wavenumber must be finite and positive")
     return wavenumber_for_ratio(arc, args.ratio) if args.ratio is not None else args.k
 
 
@@ -114,14 +117,15 @@ def _run_solve(formulation, arc, inc, grid, args):
     if not sol.report.converged:
         raise SystemExit(f"error: GMRES did not converge in {args.maxit} iterations "
                          f"(residual {sol.report.final_residual:.3e})")
+    if sol.report.final_residual > 10 * args.tol:
+        print(f"warning: true residual {sol.report.final_residual:.3e} exceeds 10 x tol",
+              file=sys.stderr)
     return sol
 
 
 def cmd_solve(args) -> int:
     arc = _make_arc(args)
     k = _wavenumber(args, arc)
-    if args.obs < 1:
-        raise SystemExit("error: --obs must be at least 1")
     grid = _grid(args.n)
     inc = Incidence(angle_deg=args.inc_deg, k=k)
     formulation = _formulation(args)
@@ -340,6 +344,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.maxit < 1:
         raise SystemExit("error: --maxit must be at least 1")
+    if not 0.0 < args.tol < 1.0:
+        raise SystemExit("error: --tol must be in (0, 1)")
+    if args.obs < 1:
+        raise SystemExit("error: --obs must be at least 1")
     return args.func(args)
 
 

@@ -124,15 +124,26 @@ def t0_coeffs(values: np.ndarray) -> np.ndarray:
     return c
 
 
+def parity_suffix_sums(w: np.ndarray) -> np.ndarray:
+    """Inclusive same-parity suffix sums along the last axis,
+    out[..., j] = w[..., j] + w[..., j + 2] + w[..., j + 4] + ...;
+    the exclusive sums are ``out - w``."""
+    out = np.empty_like(w)
+    for p in (0, 1):
+        out[..., p::2] = np.cumsum(w[..., p::2][..., ::-1], axis=-1)[..., ::-1]
+    return out
+
+
 def chebyshev_derivative_coeffs(coeffs: np.ndarray) -> np.ndarray:
-    """Chebyshev coefficients of phi'(x) given those of phi (last axis)."""
+    """Chebyshev coefficients of phi'(x) given those of phi (last axis).
+
+    The recurrence c'_j = c'_{j+2} + 2 (j + 1) c_{j+1} is a same-parity
+    suffix sum, halved at j = 0.
+    """
     m = coeffs.shape[-1] - 1
-    out = np.zeros(coeffs.shape[:-1] + (max(m, 1),), dtype=coeffs.dtype)
     if m == 0:
-        return out
-    for j in range(m - 1, -1, -1):
-        prev = out[..., j + 2] if j + 2 <= m - 1 else 0.0
-        out[..., j] = prev + 2.0 * (j + 1) * coeffs[..., j + 1]
+        return np.zeros(coeffs.shape[:-1] + (1,), dtype=coeffs.dtype)
+    out = parity_suffix_sums(2.0 * np.arange(1, m + 1) * coeffs[..., 1:])
     out[..., 0] *= 0.5
     return out
 

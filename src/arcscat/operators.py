@@ -10,10 +10,9 @@ Three layers live here.
   and the Cesaro-like operator C appearing in its explicit form.  These
   serve as oracles and as the analytic preconditioner inverse.
 
-* Nystrom matrices for the weighted single-layer operator S at
-  wavenumber k > 0 and for the smooth part Ng of the weighted
-  hypersingular operator N.  The log-singular factor is integrated by
-  the spectral product rule
+* The Nystrom matrix of the weighted single-layer operator S at
+  wavenumber k > 0.  The log-singular factor is integrated by the
+  spectral product rule
 
       int_0^pi ln|cos t - cos t'| v(t') dt'
           ~ (pi/N) sum_j v(theta_j) R_j(theta),
@@ -25,7 +24,11 @@ Three layers live here.
 * Matrix-free pipelines: the full hypersingular action
   N v = Ng v + (1/tau) D0 S T0_tau v and the second-kind composition
   NS v = N (S v), applied as dense matvecs interleaved with fast
-  transforms.  Dense materializations exist for spectrum studies.
+  transforms.  The smooth part Ng has the S kernel times
+  k^2 (n . n') sin^2 theta', so it is applied through S as
+  Ng v = k^2 sum_{c in x, y} n_c S(n_c sin^2 theta v) and never stored:
+  N costs three passes over S and NS four.  Dense materializations
+  exist for spectrum studies.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ from .grids import (
     d0_coeffs,
     d0_values,
     node_speed,
+    parity_suffix_sums,
     t0_coeffs,
     t0_values,
     values_from_coeffs,
@@ -61,7 +65,7 @@ class LogQuadVector:
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Dense discretization of S, Ng or S0_tau with its provenance."""
+    """Dense discretization of S or S0_tau with its provenance."""
 
     kind: str
     n: int
@@ -70,7 +74,7 @@ class OperatorMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        if self.kind not in ("S", "Ng", "S0tau"):
+        if self.kind not in ("S", "S0tau"):
             raise ValueError(f"unknown operator kind {self.kind!r}")
         if self.k == 0.0 and self.kind != "S0tau":
             raise ValueError("k = 0 is only meaningful for the S0tau matrix")
@@ -121,18 +125,6 @@ def n0_apply_values(values: np.ndarray) -> np.ndarray:
     return values_from_coeffs(d)
 
 
-def _parity_suffix_sums(w: np.ndarray):
-    """Exclusive and inclusive same-index-parity suffix sums of w."""
-    n = w.shape[-1]
-    incl = np.zeros_like(w)
-    for p in (0, 1):
-        sl = w[..., p::2]
-        c = np.cumsum(sl[..., ::-1], axis=-1)[..., ::-1]
-        incl[..., p::2] = c
-    excl = incl - w
-    return excl, incl, n
-
-
 def j0_apply_values(values: np.ndarray) -> np.ndarray:
     """Calderon composition J0 = N0 S0 via its cosine-basis action.
 
@@ -144,7 +136,7 @@ def j0_apply_values(values: np.ndarray) -> np.ndarray:
     n = a.shape[-1]
     w = np.zeros_like(a)
     w[..., 1:] = a[..., 1:] / np.arange(1, n)
-    excl, _, _ = _parity_suffix_sums(w)
+    excl = parity_suffix_sums(w) - w
     lam = np.empty(n)
     lam[0] = -0.25 * np.log(2.0)
     lam[1:] = -0.25 - 0.25 / np.arange(1, n)
@@ -159,7 +151,7 @@ def c_apply_values(values: np.ndarray) -> np.ndarray:
     n = a.shape[-1]
     w = np.zeros_like(a)
     w[..., 1:] = a[..., 1:] / np.arange(1, n)
-    _, incl, _ = _parity_suffix_sums(w)
+    incl = parity_suffix_sums(w)
     out = np.zeros_like(a)
     # even output mode 2i collects odd inputs > 2i; odd mode 2i+1 collects
     # even inputs > 2i+1
@@ -284,27 +276,6 @@ def build_S_matrix(arc: Arc, k: float, grid: ThetaGrid) -> OperatorMatrix:
     return OperatorMatrix(kind="S", n=n, k=k, arc=arc, entries=entries)
 
 
-def build_Ng_matrix(arc: Arc, k: float, grid: ThetaGrid,
-                    s_matrix: OperatorMatrix | None = None) -> OperatorMatrix:
-    """Nystrom matrix of the smooth hypersingular part Ng.
-
-    Entry (n, j) is k^2 sin^2(theta_j) (n_j . n_n) times the S entry, so
-    given an S matrix on the same arc/grid the build is O(N^2).
-    """
-    if k <= 0.0:
-        raise ValueError("build_Ng_matrix requires k > 0")
-    if s_matrix is not None and (s_matrix.n != grid.n or s_matrix.k != k
-                                 or s_matrix.arc is not arc or s_matrix.kind != "S"):
-        raise ValueError("s_matrix does not match the requested arc/k/grid")
-    if s_matrix is None:
-        s_matrix = build_S_matrix(arc, k, grid)
-    normals = eval_arc(arc, np.cos(grid.nodes))[2]
-    nn = normals @ normals.T
-    sin2 = np.sin(grid.nodes) ** 2
-    entries = (k * k) * nn * sin2[None, :] * s_matrix.entries
-    return OperatorMatrix(kind="Ng", n=grid.n, k=k, arc=arc, entries=entries)
-
-
 def build_S0tau_matrix(arc: Arc, grid: ThetaGrid) -> OperatorMatrix:
     """Dense weighted flat-arc single layer (k = 0), for spectrum studies."""
     tau = node_speed(arc, grid)
@@ -312,39 +283,43 @@ def build_S0tau_matrix(arc: Arc, grid: ThetaGrid) -> OperatorMatrix:
     return OperatorMatrix(kind="S0tau", n=grid.n, k=0.0, arc=arc, entries=entries)
 
 
-def _check_pipeline(arc: Arc, k: float, s_matrix: OperatorMatrix,
-                    ng_matrix: OperatorMatrix, n: int):
-    if s_matrix.kind != "S" or ng_matrix.kind != "Ng":
-        raise ValueError("apply_N expects an S matrix and an Ng matrix")
-    if not (s_matrix.n == ng_matrix.n == n):
-        raise ValueError("matrix sizes do not match the density grid")
-    if s_matrix.k != k or ng_matrix.k != k or s_matrix.arc is not arc or ng_matrix.arc is not arc:
-        raise ValueError("matrices were built for a different arc or wavenumber")
+def _check_pipeline(arc: Arc, k: float, s_matrix: OperatorMatrix, n: int):
+    if s_matrix.kind != "S":
+        raise ValueError("apply_N expects an S matrix")
+    if s_matrix.n != n:
+        raise ValueError("matrix size does not match the density grid")
+    if s_matrix.k != k or s_matrix.arc is not arc:
+        raise ValueError("S was built for a different arc or wavenumber")
 
 
-def n_apply_values(arc: Arc, s_entries: np.ndarray, ng_entries: np.ndarray,
-                   grid: ThetaGrid, values: np.ndarray) -> np.ndarray:
+def _ng_action(arc: Arc, k: float, s_entries: np.ndarray, grid: ThetaGrid,
+               values: np.ndarray) -> np.ndarray:
+    """Smooth hypersingular part Ng v = k^2 sum_c n_c S(n_c sin^2 theta v),
+    one S matvec per normal component."""
+    normals = eval_arc(arc, np.cos(grid.nodes))[2]
+    w = (k * k) * np.sin(grid.nodes) ** 2 * values
+    return sum(n_c * (s_entries @ (n_c * w)) for n_c in normals.T)
+
+
+def n_apply_values(arc: Arc, k: float, s_entries: np.ndarray, grid: ThetaGrid,
+                   values: np.ndarray) -> np.ndarray:
     """Hypersingular pipeline Ng v + (1/tau) D0 S T0_tau v on raw samples."""
     tau = node_speed(arc, grid)
     w = t0_values(values) / tau
-    return ng_entries @ values + d0_values(s_entries @ w) / tau
+    return _ng_action(arc, k, s_entries, grid, values) + d0_values(s_entries @ w) / tau
 
 
-def apply_N(arc: Arc, k: float, s_matrix: OperatorMatrix, ng_matrix: OperatorMatrix,
-            v: DensityVector) -> DensityVector:
+def apply_N(arc: Arc, k: float, s_matrix: OperatorMatrix, v: DensityVector) -> DensityVector:
     """Full weighted hypersingular action at wavenumber k."""
-    _check_pipeline(arc, k, s_matrix, ng_matrix, v.grid.n)
-    return DensityVector(v.grid, n_apply_values(arc, s_matrix.entries,
-                                                ng_matrix.entries, v.grid, v.values))
+    _check_pipeline(arc, k, s_matrix, v.grid.n)
+    return DensityVector(v.grid, n_apply_values(arc, k, s_matrix.entries, v.grid, v.values))
 
 
-def apply_NS(arc: Arc, k: float, s_matrix: OperatorMatrix, ng_matrix: OperatorMatrix,
-             v: DensityVector) -> DensityVector:
+def apply_NS(arc: Arc, k: float, s_matrix: OperatorMatrix, v: DensityVector) -> DensityVector:
     """Second-kind composition: one S matvec, then the N pipeline."""
-    _check_pipeline(arc, k, s_matrix, ng_matrix, v.grid.n)
+    _check_pipeline(arc, k, s_matrix, v.grid.n)
     u = s_matrix.entries @ v.values
-    return DensityVector(v.grid, n_apply_values(arc, s_matrix.entries,
-                                                ng_matrix.entries, v.grid, u))
+    return DensityVector(v.grid, n_apply_values(arc, k, s_matrix.entries, v.grid, u))
 
 
 # ---------------------------------------------------------------------------
@@ -377,12 +352,16 @@ def dense_d0(grid: ThetaGrid) -> np.ndarray:
     return d0_values(np.eye(grid.n)).T
 
 
-def dense_n(arc: Arc, s_matrix: OperatorMatrix, ng_matrix: OperatorMatrix,
-            grid: ThetaGrid) -> np.ndarray:
-    """Dense N = Ng + diag(1/tau) D0 S T0_tau."""
+def dense_n(arc: Arc, s_matrix: OperatorMatrix, grid: ThetaGrid) -> np.ndarray:
+    """Dense N = Ng + diag(1/tau) D0 S T0_tau, with Ng built entry by
+    entry as k^2 (n_n . n_j) sin^2(theta_j) S(n, j)."""
+    k = s_matrix.k
+    normals = eval_arc(arc, np.cos(grid.nodes))[2]
+    sin2 = np.sin(grid.nodes) ** 2
+    ng = (k * k) * (normals @ normals.T) * sin2[None, :] * s_matrix.entries
     tau = node_speed(arc, grid)
     pv = dense_d0(grid) @ s_matrix.entries @ dense_t0tau(arc, grid)
-    return ng_matrix.entries + pv / tau[:, None]
+    return ng + pv / tau[:, None]
 
 
 def dense_operator(name: str, arc: Arc, k: float, grid: ThetaGrid) -> np.ndarray:
@@ -401,8 +380,7 @@ def dense_operator(name: str, arc: Arc, k: float, grid: ThetaGrid) -> np.ndarray
         tau = node_speed(arc, grid)
         inv = s0_solve_values(np.eye(grid.n)).T / tau[:, None]
         return s.entries @ inv
-    ng = build_Ng_matrix(arc, k, grid, s)
-    nd = dense_n(arc, s, ng, grid)
+    nd = dense_n(arc, s, grid)
     if name == "N":
         return nd
     if name == "NS":

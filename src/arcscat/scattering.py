@@ -42,7 +42,6 @@ from .grids import DensityVector, ThetaGrid
 from .linalg import SolveReport, gmres
 from .operators import (
     OperatorMatrix,
-    build_Ng_matrix,
     build_S_matrix,
     n_apply_values,
     s0tau_solve_values,
@@ -117,7 +116,11 @@ def rhs_tm(arc: Arc, inc: Incidence, grid: ThetaGrid) -> DensityVector:
 
 def solve(formulation: str, arc: Arc, inc: Incidence, grid: ThetaGrid,
           tol: float = 1e-8, maxit: int = 2000) -> Solution:
-    """Assemble the matrices once and run GMRES on the chosen equation.
+    """Assemble S once and run GMRES on the chosen equation.
+
+    S is the only stored N x N matrix: the N pipeline applies its smooth
+    part Ng through S as well, so an N application costs three passes
+    over S and an NS application four.
 
     Returns a Solution whose ``report`` carries the iteration count and
     residual history; ``report.converged`` is False when maxit was hit.
@@ -127,15 +130,13 @@ def solve(formulation: str, arc: Arc, inc: Incidence, grid: ThetaGrid,
     k = inc.k
     start = time.perf_counter()
     s = build_S_matrix(arc, k, grid)
-    needs_n = formulation in ("TE_NS", "TM_N", "TM_NS")
-    ng = build_Ng_matrix(arc, k, grid, s) if needs_n else None
     mat_seconds = time.perf_counter() - start
 
     def s_action(u):
         return s.entries @ u
 
     def n_action(u):
-        return n_apply_values(arc, s.entries, ng.entries, grid, u)
+        return n_apply_values(arc, k, s.entries, grid, u)
 
     def ns_action(u):
         return n_action(s.entries @ u)

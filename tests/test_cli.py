@@ -1,8 +1,11 @@
 """Command-line drivers: file outputs, formats and determinism."""
 
+import re
+
 import numpy as np
 import pytest
 
+from arcscat import cli
 from arcscat.cli import main
 
 
@@ -77,6 +80,40 @@ def test_maxit_below_one_rejected(tmp_path):
     with pytest.raises(SystemExit, match="--maxit must be at least 1"):
         run(["solve", "--arc", "strip", "--ratio", "10", "--n", "128",
              "--maxit", "0", "--out", str(tmp_path)])
+
+
+@pytest.mark.parametrize("command,flags,message", [
+    ("solve", ["--k", "nan"], "wavenumber must be finite and positive"),
+    ("solve", ["--k", "-2"], "wavenumber must be finite and positive"),
+    ("solve", ["--ratio", "inf"], "wavenumber must be finite and positive"),
+    ("spectrum", ["--k", "0"], "wavenumber must be finite and positive"),
+    ("solve", ["--ratio", "10", "--tol", "0"], "--tol must be in (0, 1)"),
+    ("solve", ["--ratio", "10", "--tol", "1.5"], "--tol must be in (0, 1)"),
+    ("solve", ["--ratio", "10", "--tol", "nan"], "--tol must be in (0, 1)"),
+    ("converge", ["--ratio", "10", "--obs", "0"], "--obs must be at least 1"),
+], ids=["k-nan", "k-negative", "ratio-inf", "spectrum-k-zero", "tol-zero", "tol-above-one",
+        "tol-nan", "converge-obs-zero"])
+def test_bad_numbers_rejected(tmp_path, command, flags, message):
+    with pytest.raises(SystemExit, match=re.escape(f"error: {message}")):
+        run([command, "--arc", "strip", "--n", "64", *flags, "--out", str(tmp_path)])
+
+
+def test_residual_above_tol_warns(tmp_path, monkeypatch, capsys):
+    args = ["solve", "--arc", "strip", "--ratio", "5", "--n", "64", "--tol", "1e-8",
+            "--obs", "8", "--out", str(tmp_path)]
+    assert run(args) == 0
+    assert "warning" not in capsys.readouterr().err
+
+    real_solve = cli.solve
+
+    def loose_solve(*a, **kw):
+        sol = real_solve(*a, **kw)
+        sol.report.final_residual = 1e-3
+        return sol
+
+    monkeypatch.setattr(cli, "solve", loose_solve)
+    assert run(args) == 0
+    assert "warning: true residual 1.000e-03 exceeds 10 x tol" in capsys.readouterr().err
 
 
 def test_bad_formulation_combo_rejected(tmp_path):

@@ -10,6 +10,7 @@ from arcscat.grids import (
     apply_D0,
     apply_T0,
     apply_T0_tau,
+    chebyshev_derivative_coeffs,
     cosine_coeffs,
     from_cosine_coeffs,
     is_admissible,
@@ -144,6 +145,35 @@ def test_d0_chebyshev_derivative(n):
     th = g.nodes
     out = apply_D0(dv(g, np.cos(n * th)))
     assert np.max(np.abs(out.values + n * np.sin(n * th) / np.sin(th))) < 1e-11
+
+
+def chebyshev_derivative_loop(coeffs):
+    # reference: the backward recurrence c'_j = c'_{j+2} + 2 (j + 1) c_{j+1}
+    m = coeffs.shape[-1] - 1
+    out = np.zeros(coeffs.shape[:-1] + (max(m, 1),), dtype=coeffs.dtype)
+    for j in range(m - 1, -1, -1):
+        prev = out[..., j + 2] if j + 2 <= m - 1 else 0.0
+        out[..., j] = prev + 2.0 * (j + 1) * coeffs[..., j + 1]
+    out[..., 0] *= 0.5
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 16, 65])
+def test_chebyshev_derivative_closed_form(n):
+    # T_m' = 2m sum' T_k over k = m-1, m-3, ... >= 0, the T_0 term halved
+    for m in range(n):
+        e = np.zeros(n)
+        e[m] = 1.0
+        want = np.zeros(max(n - 1, 1))
+        for k in range(m - 1, -1, -2):
+            want[k] = m if k == 0 else 2.0 * m
+        assert np.array_equal(chebyshev_derivative_coeffs(e), want)
+    rng = np.random.default_rng(n)
+    batch = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
+    rows = [chebyshev_derivative_coeffs(row) for row in batch]
+    assert np.array_equal(chebyshev_derivative_coeffs(batch), np.array(rows))
+    # same additions in the same order as the recurrence, so bitwise equal
+    assert np.array_equal(chebyshev_derivative_coeffs(batch), chebyshev_derivative_loop(batch))
 
 
 @pytest.mark.parametrize("op", [apply_T0, apply_D0])

@@ -18,7 +18,7 @@ from arcscat.geometry import eval_arc, make_arc, speed, wavenumber_for_ratio
 from arcscat.grids import DensityVector, coeffs_from_values, theta_grid, values_from_coeffs
 from arcscat.linalg import eig_dense
 from arcscat.operators import (
-    OperatorMatrix,
+    _ng_action,
     apply_C,
     apply_J0,
     apply_N,
@@ -30,12 +30,12 @@ from arcscat.operators import (
     apply_S0tau_inverse,
     assemble_dense,
     build_log_quad,
-    build_Ng_matrix,
     build_S_matrix,
     build_S0tau_matrix,
     dense_n,
     dense_operator,
     log_quad_matrix,
+    n_apply_values,
     s0_eigenvalue,
     s0_eigenvalues,
 )
@@ -283,9 +283,8 @@ def test_ng_matrix_against_adaptive_quadrature(kind):
     k = np.pi
     g = theta_grid(64)
     s = build_S_matrix(arc, k, g)
-    ng = build_Ng_matrix(arc, k, g, s)
     dens = lambda tp: math.exp(math.cos(tp))
-    applied = ng.entries @ np.exp(np.cos(g.nodes))
+    applied = _ng_action(arc, k, s.entries, g, np.exp(np.cos(g.nodes)))
     for idx in (3, 17, 31, 44, 60):
         exact = smooth_hypersingular_oracle(arc, k, g.nodes[idx], dens)
         assert abs(applied[idx] - exact) / abs(exact) < 1e-9
@@ -319,13 +318,16 @@ def test_s_matrix_rejects_zero_k():
 
 
 def test_ng_strip_entrywise_relation():
+    # on the strip n . n' = 1, so Ng v = k^2 S(sin^2 theta v); the action
+    # sums two products in another order, so it agrees to rounding only
     arc = make_arc("strip")
     k = np.pi
     g = theta_grid(32)
     s = build_S_matrix(arc, k, g)
-    ng = build_Ng_matrix(arc, k, g, s)
-    expect = k * k * np.sin(g.nodes)[None, :] ** 2 * s.entries
-    assert np.array_equal(ng.entries, expect)
+    v = rand_dv(g, 4).values
+    got = _ng_action(arc, k, s.entries, g, v)
+    expect = s.entries @ (k * k * np.sin(g.nodes) ** 2 * v)
+    assert np.max(np.abs(got - expect)) < 1e-13 * np.max(np.abs(expect))
 
 
 def test_ng_k_squared_prefactor():
@@ -334,35 +336,24 @@ def test_ng_k_squared_prefactor():
     ratios = []
     for k in (1.0, 3.0):
         s = build_S_matrix(arc, k, g)
-        ng = build_Ng_matrix(arc, k, g, s)
-        ratios.append(ng.entries / s.entries / (k * k))
+        ng = np.column_stack([_ng_action(arc, k, s.entries, g, e) for e in np.eye(g.n)])
+        ratios.append(ng / s.entries / (k * k))
     assert np.max(np.abs(ratios[0] - ratios[1])) < 1e-12
-
-
-def test_ng_matrix_mismatch_rejected():
-    arc = make_arc("strip")
-    g = theta_grid(16)
-    s = build_S_matrix(arc, 1.0, g)
-    with pytest.raises(ValueError):
-        build_Ng_matrix(arc, 2.0, g, s)
 
 
 # ---------------------------------------------------------------------------
 # composed pipelines
 # ---------------------------------------------------------------------------
 def test_apply_n_zero_frequency_factorization():
-    # with the dense flat-arc log operator in place of S and no smooth
-    # part, the pipeline reduces to D0 S0 T0 (top mode excluded: it is
-    # invisible to a nodal matrix)
+    # with the dense flat-arc log operator in place of S at k = 0 (no
+    # smooth part), the pipeline reduces to D0 S0 T0 (top mode excluded:
+    # it is invisible to a nodal matrix)
     g = theta_grid(64)
     arc = make_arc("strip")
-    s0 = OperatorMatrix(kind="S", n=64, k=1.0, arc=arc,
-                        entries=assemble_dense(apply_S0, g))
-    zero = OperatorMatrix(kind="Ng", n=64, k=1.0, arc=arc,
-                          entries=np.zeros((64, 64), dtype=complex))
+    s0 = assemble_dense(apply_S0, g)
     for n in range(63):
         e = dv(g, np.cos(n * g.nodes))
-        lhs = apply_N(arc, 1.0, s0, zero, e).values
+        lhs = n_apply_values(arc, 0.0, s0, g, e.values)
         rhs = apply_N0(e).values
         assert np.max(np.abs(lhs - rhs)) < 1e-11
 
@@ -372,11 +363,10 @@ def test_apply_n_linearity():
     k = 3.0
     g = theta_grid(48)
     s = build_S_matrix(arc, k, g)
-    ng = build_Ng_matrix(arc, k, g, s)
     u, v = rand_dv(g, 7), rand_dv(g, 8)
     a, b = 0.3 + 1.1j, -2.0 + 0.4j
-    lhs = apply_N(arc, k, s, ng, dv(g, a * u.values + b * v.values)).values
-    rhs = a * apply_N(arc, k, s, ng, u).values + b * apply_N(arc, k, s, ng, v).values
+    lhs = apply_N(arc, k, s, dv(g, a * u.values + b * v.values)).values
+    rhs = a * apply_N(arc, k, s, u).values + b * apply_N(arc, k, s, v).values
     assert np.max(np.abs(lhs - rhs)) < 1e-12 * np.max(np.abs(rhs))
 
 
@@ -385,11 +375,10 @@ def test_apply_ns_linearity():
     k = 2.0
     g = theta_grid(32)
     s = build_S_matrix(arc, k, g)
-    ng = build_Ng_matrix(arc, k, g, s)
     u, v = rand_dv(g, 9), rand_dv(g, 10)
     a, b = 1.7 - 0.3j, 0.2 + 0.9j
-    lhs = apply_NS(arc, k, s, ng, dv(g, a * u.values + b * v.values)).values
-    rhs = a * apply_NS(arc, k, s, ng, u).values + b * apply_NS(arc, k, s, ng, v).values
+    lhs = apply_NS(arc, k, s, dv(g, a * u.values + b * v.values)).values
+    rhs = a * apply_NS(arc, k, s, u).values + b * apply_NS(arc, k, s, v).values
     assert np.max(np.abs(lhs - rhs)) < 1e-12 * np.max(np.abs(rhs))
 
 
@@ -397,11 +386,10 @@ def test_apply_n_mismatch_rejected():
     arc = make_arc("strip")
     g = theta_grid(16)
     s = build_S_matrix(arc, 1.0, g)
-    ng = build_Ng_matrix(arc, 1.0, g, s)
     with pytest.raises(ValueError):
-        apply_N(arc, 2.0, s, ng, rand_dv(g))
+        apply_N(arc, 2.0, s, rand_dv(g))
     with pytest.raises(ValueError):
-        apply_N(arc, 1.0, ng, ng, rand_dv(g))
+        apply_N(arc, 1.0, build_S0tau_matrix(arc, g), rand_dv(g))
 
 
 def test_ns_small_k_clusters_at_quarter():
@@ -409,8 +397,7 @@ def test_ns_small_k_clusters_at_quarter():
     k = 0.1
     g = theta_grid(64)
     s = build_S_matrix(arc, k, g)
-    ng = build_Ng_matrix(arc, k, g, s)
-    lam = eig_dense(dense_n(arc, s, ng, g) @ s.entries)
+    lam = eig_dense(dense_n(arc, s, g) @ s.entries)
     dist = np.sort(np.abs(lam + 0.25))
     bulk = dist[: int(0.8 * 64)]
     assert bulk.mean() < 0.05
@@ -434,8 +421,7 @@ def test_tm_residual_end_to_end():
     inc = Incidence(angle_deg=90.0, k=k)
     tol = 1e-10
     sol = solve("TM_N", arc, inc, g, tol=tol)
-    s, ng = sol.s_matrix, build_Ng_matrix(arc, k, g, sol.s_matrix)
-    resid = apply_N(arc, k, s, ng, sol.density).values - rhs_tm(arc, inc, g).values
+    resid = apply_N(arc, k, sol.s_matrix, sol.density).values - rhs_tm(arc, inc, g).values
     rel = np.max(np.abs(resid)) / np.max(np.abs(rhs_tm(arc, inc, g).values))
     assert rel < 10 * tol
 
@@ -469,14 +455,19 @@ def test_assemble_s0_transform_conjugation():
     assert np.max(np.abs(got - expect)) < 1e-13
 
 
-def test_assemble_ns_associativity():
-    arc = make_arc("strip")
+@pytest.mark.parametrize("kind", ["strip", "halfcircle", "spiral"])
+def test_assemble_ns_associativity(kind):
+    # curved arcs have n . n' != 1, so they also check the normals in
+    # the Ng action against the entrywise Ng of dense_n
+    arc = make_arc(kind)
     k = 2.0
     g = theta_grid(32)
     s = build_S_matrix(arc, k, g)
-    ng = build_Ng_matrix(arc, k, g, s)
-    piped = assemble_dense(lambda v: apply_NS(arc, k, s, ng, v), g)
-    product = dense_n(arc, s, ng, g) @ s.entries
+    nd = dense_n(arc, s, g)
+    piped_n = assemble_dense(lambda v: apply_N(arc, k, s, v), g)
+    assert np.max(np.abs(piped_n - nd)) < 1e-11
+    piped = assemble_dense(lambda v: apply_NS(arc, k, s, v), g)
+    product = nd @ s.entries
     assert np.max(np.abs(piped - product)) < 1e-11
 
 
