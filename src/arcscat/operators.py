@@ -19,24 +19,34 @@ Three layers live here.
 
   where R_j(theta_n) = r(|n-j|) + r(n+j+1) and the length-2N vector r
   is produced by a single FFT, so the N x N matrix assembles in
-  O(N^2 log N).
+  O(N^2 log N).  S = K diag(w) with a kernel K that is symmetric to the
+  last bit, so K is evaluated on the upper triangle only and mirrored;
+  above N = 2048 its J0/Y0 evaluation runs on a thread pool sized to
+  the usable cores.
 
 * Matrix-free pipelines: the full hypersingular action
   N v = Ng v + (1/tau) D0 S T0_tau v and the second-kind composition
   NS v = N (S v), applied as dense matvecs interleaved with fast
   transforms.  The smooth part Ng has the S kernel times
   k^2 (n . n') sin^2 theta', so it is applied through S as
-  Ng v = k^2 sum_{c in x, y} n_c S(n_c sin^2 theta v) and never stored:
-  N costs three passes over S and NS four.  Dense materializations
-  exist for spectrum studies.
+  Ng v = k^2 sum_{c in x, y} n_c S(n_c sin^2 theta v) and never stored.
+  The three S products of N share one pass over S by cache-sized row
+  blocks, so N reads S from memory once and NS twice.  The node data
+  of the pipeline (tau, normals, k^2 sin^2 theta) is an ``NFrame``,
+  evaluated once per solve.  Dense materializations exist for spectrum
+  studies.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .geometry import Arc, eval_arc
 from .grids import (
@@ -54,6 +64,13 @@ from .grids import (
 from .specfun import _a1a2_offdiag, _a2_diagonal
 
 DENSE_CAP = 4096
+# An upper-triangle row panel of the S assembly holds about
+# max(PANEL_ENTRIES, N^2 / 64) kernel entries.  Each panel ends in a wait
+# for the J0/Y0 pool, which costs milliseconds on a busy host, so large N
+# gets about 32 panels; their temporaries stay near 6 % of S.
+PANEL_ENTRIES = 1 << 16
+# bytes of S per row block of the N stage's blocked products
+ROW_BLOCK_BYTES = 2 << 20
 
 
 @dataclass(frozen=True)
@@ -228,15 +245,54 @@ def log_quad_matrix(grid: ThetaGrid, lq: LogQuadVector | None = None) -> np.ndar
     return lq.r[np.abs(idx[:, None] - idx[None, :])] + lq.r[idx[:, None] + idx[None, :] + 1]
 
 
+def _kernel_panel(k, x, px, py, r, a2_diag, lo: int, hi: int, pool) -> np.ndarray:
+    """Unweighted kernel A1 R + A2 of S on the upper-triangle row panel
+    rows lo..hi-1, columns lo..N-1, with the coincidence limits on its
+    diagonal."""
+    rows, cols = slice(lo, hi), slice(lo, None)
+    dx = px[rows, None] - px[None, cols]
+    dist = dx * dx
+    dx = py[rows, None] - py[None, cols]
+    dist += dx * dx
+    np.sqrt(dist, out=dist)
+    dcos = np.abs(x[rows, None] - x[None, cols])
+    diag = (np.arange(hi - lo),) * 2
+    dist[diag] = 1.0
+    dcos[diag] = 1.0
+    np.log(dcos, out=dcos)
+    a1, kernel = _a1a2_offdiag(k, dist, dcos, pool)
+    a1[diag] = -1.0 / (2.0 * np.pi)
+    kernel[diag] = a2_diag
+    # R_j(theta_n) = r(|n - j|) + r(n + j + 1): Toeplitz and Hankel views of r
+    h, m = hi - lo, len(x) - lo
+    rmat = (sliding_window_view(np.concatenate((r[h - 1 : 0 : -1], r[:m])), m)[::-1]
+            + sliding_window_view(r[2 * lo + 1 : hi + len(x)], m))
+    np.multiply(a1, rmat, out=rmat)
+    kernel.real += rmat
+    return kernel
+
+
 def build_S_matrix(arc: Arc, k: float, grid: ThetaGrid) -> OperatorMatrix:
     """Nystrom matrix of the weighted single-layer operator at k > 0.
 
     Entry (n, j) is (pi/N) tau_j (A1(n,j) R_j(theta_n) + A2(n,j)); applied
     to node samples it realizes the spectral quadrature of the weighted
-    single-layer integral.  Assembly runs over row blocks so every
-    intermediate stays cache resident; the log-rule vector comes from one
-    FFT, for an overall O(N^2 log N) build.
+    single-layer integral.  S = K diag(w) with w_j = (pi/N) tau_j, and
+    the kernel K is symmetric to the last bit, because R, the distances
+    and the cosine gaps are.  So K is evaluated on the upper triangle
+    only, in row panels of max(``PANEL_ENTRIES``, N^2/64) entries; each
+    panel is mirrored into the lower triangle, and both copies are
+    multiplied by w on their way into S.  J0/Y0, most of the cost, run
+    in chunks of ``specfun.A1A2_CHUNK`` entries on a thread pool sized
+    to the usable cores (no pool with one core) that lives for this
+    call; a panel of one chunk or less (every panel for N <= 2048) stays
+    on the calling thread.  Every other step, and every call into
+    another arcscat module, stays on the calling thread.  The result is bitwise
+    the same as a serial full-matrix build.  The log-rule vector comes from
+    one FFT, for an overall O(N^2 log N) build.
     """
+    if not np.isfinite(k):
+        raise ValueError("build_S_matrix requires a finite wavenumber")
     if k <= 0.0:
         raise ValueError("build_S_matrix requires k > 0; the flat-arc k = 0 "
                          "operator is available analytically as apply_S0")
@@ -245,34 +301,21 @@ def build_S_matrix(arc: Arc, k: float, grid: ThetaGrid) -> OperatorMatrix:
     points, _, _, tau = eval_arc(arc, x)
     px, py = np.ascontiguousarray(points[:, 0]), np.ascontiguousarray(points[:, 1])
     r = build_log_quad(grid).r
-    idx = np.arange(n)
     weight = (np.pi / n) * tau
     a2_diag = _a2_diagonal(k, tau)
 
     entries = np.empty((n, n), dtype=complex)
-    block = max(1, (1 << 16) // n)
-    for lo in range(0, n, block):
-        hi = min(lo + block, n)
-        rows = slice(lo, hi)
-        dx = px[rows, None] - px[None, :]
-        dist = dx * dx
-        dx = py[rows, None] - py[None, :]
-        dist += dx * dx
-        np.sqrt(dist, out=dist)
-        dcos = np.abs(x[rows, None] - x[None, :])
-        diag = idx[rows, None] == idx[None, :]
-        dist[diag] = 1.0
-        dcos[diag] = 1.0
-        np.log(dcos, out=dcos)
-        a1, a2 = _a1a2_offdiag(k, dist, dcos)
-        a1[diag] = -1.0 / (2.0 * np.pi)
-        a2[diag] = a2_diag[rows]
-        rmat = r[np.abs(idx[rows, None] - idx[None, :])] + r[idx[rows, None] + idx[None, :] + 1]
-        np.multiply(a1, rmat, out=rmat)
-        out = entries[rows]
-        out[...] = a2
-        out.real += rmat
-        out *= weight[None, :]
+    # usable cores; platforms without affinity masks report every core
+    workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+               else os.cpu_count() or 1)
+    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        panel, lo = max(PANEL_ENTRIES, n * n // 64), 0
+        while lo < n:
+            hi = min(n, lo + max(1, panel // (n - lo)))
+            kernel = _kernel_panel(k, x, px, py, r, a2_diag[lo:hi], lo, hi, pool)
+            np.multiply(kernel, weight[lo:], out=entries[lo:hi, lo:])
+            np.multiply(kernel[:, hi - lo :].T, weight[lo:hi], out=entries[hi:, lo:hi])
+            lo = hi
     return OperatorMatrix(kind="S", n=n, k=k, arc=arc, entries=entries)
 
 
@@ -292,21 +335,63 @@ def _check_pipeline(arc: Arc, k: float, s_matrix: OperatorMatrix, n: int):
         raise ValueError("S was built for a different arc or wavenumber")
 
 
-def _ng_action(arc: Arc, k: float, s_entries: np.ndarray, grid: ThetaGrid,
-               values: np.ndarray) -> np.ndarray:
-    """Smooth hypersingular part Ng v = k^2 sum_c n_c S(n_c sin^2 theta v),
-    one S matvec per normal component."""
-    normals = eval_arc(arc, np.cos(grid.nodes))[2]
-    w = (k * k) * np.sin(grid.nodes) ** 2 * values
-    return sum(n_c * (s_entries @ (n_c * w)) for n_c in normals.T)
+@dataclass(frozen=True)
+class NFrame:
+    """Node data of the N pipeline for one (arc, k, grid): the speed tau,
+    the unit normals (N x 2) and the Ng weight k^2 sin^2 theta."""
+
+    tau: np.ndarray
+    normals: np.ndarray
+    ng_weight: np.ndarray
+
+
+def n_frame(arc: Arc, k: float, grid: ThetaGrid) -> NFrame:
+    """Evaluate the arc frame at the nodes once, for any number of N
+    applications."""
+    _, _, normals, tau = eval_arc(arc, np.cos(grid.nodes))
+    return NFrame(tau=tau, normals=normals, ng_weight=(k * k) * np.sin(grid.nodes) ** 2)
+
+
+def _s_products(s_entries: np.ndarray, vectors) -> np.ndarray:
+    """Row i of the result is s_entries @ vectors[i], computed in one pass
+    over S by near-equal row blocks of ``ROW_BLOCK_BYTES`` to twice that:
+    each block is read from memory once and stays in L2 for the other
+    products.  A block product computes every row as the full product
+    does, so the result is bitwise the same; only a one-row block would
+    take another BLAS path, so every block has at least two rows."""
+    n = s_entries.shape[0]
+    out = np.empty((len(vectors), n), dtype=np.result_type(s_entries, *vectors))
+    blocks = max(1, min(n // 2, s_entries.nbytes // ROW_BLOCK_BYTES))
+    for b in range(blocks):
+        rows = slice(n * b // blocks, n * (b + 1) // blocks)
+        block = s_entries[rows]
+        for y, v in zip(out, vectors):
+            y[rows] = block @ v
+    return out
+
+
+def _n_terms(frame: NFrame, s_entries: np.ndarray, values: np.ndarray):
+    """The two terms of N v: the smooth part
+    Ng v = k^2 sum_c n_c S(n_c sin^2 theta v) and (1/tau) D0 S T0_tau v.
+    Their three S products share one blocked pass over S."""
+    w = frame.ng_weight * values
+    normals = frame.normals.T
+    *ng_products, pv = _s_products(s_entries, [*(n_c * w for n_c in normals),
+                                               t0_values(values) / frame.tau])
+    ng = sum(n_c * y for n_c, y in zip(normals, ng_products))
+    return ng, d0_values(pv) / frame.tau
+
+
+def n_apply(frame: NFrame, s_entries: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Hypersingular pipeline Ng v + (1/tau) D0 S T0_tau v on raw samples."""
+    ng, pv = _n_terms(frame, s_entries, values)
+    return ng + pv
 
 
 def n_apply_values(arc: Arc, k: float, s_entries: np.ndarray, grid: ThetaGrid,
                    values: np.ndarray) -> np.ndarray:
-    """Hypersingular pipeline Ng v + (1/tau) D0 S T0_tau v on raw samples."""
-    tau = node_speed(arc, grid)
-    w = t0_values(values) / tau
-    return _ng_action(arc, k, s_entries, grid, values) + d0_values(s_entries @ w) / tau
+    """``n_apply`` with the frame evaluated for this one application."""
+    return n_apply(n_frame(arc, k, grid), s_entries, values)
 
 
 def apply_N(arc: Arc, k: float, s_matrix: OperatorMatrix, v: DensityVector) -> DensityVector:

@@ -43,7 +43,8 @@ from .linalg import SolveReport, gmres
 from .operators import (
     OperatorMatrix,
     build_S_matrix,
-    n_apply_values,
+    n_apply,
+    n_frame,
     s0tau_solve_values,
 )
 from .specfun import hankel1_0, hankel1_1
@@ -131,12 +132,13 @@ def solve(formulation: str, arc: Arc, inc: Incidence, grid: ThetaGrid,
     start = time.perf_counter()
     s = build_S_matrix(arc, k, grid)
     mat_seconds = time.perf_counter() - start
+    frame = n_frame(arc, k, grid)
 
     def s_action(u):
         return s.entries @ u
 
     def n_action(u):
-        return n_apply_values(arc, k, s.entries, grid, u)
+        return n_apply(frame, s.entries, u)
 
     def ns_action(u):
         return n_action(s.entries @ u)

@@ -35,6 +35,9 @@ from scipy import special
 from .geometry import Arc, eval_arc, speed
 
 EULER_GAMMA = float(np.euler_gamma)
+# kernel entries per pool task of _a1a2_offdiag, about 5 ms of J0/Y0:
+# shorter tasks lose to thread wake-ups on a busy host
+A1A2_CHUNK = 1 << 16
 
 
 def _validated(x, name, positive):
@@ -95,16 +98,34 @@ class KernelSplit:
     a2: complex
 
 
-def _a1a2_offdiag(k, dist, log_dcos):
+def _a1a2_offdiag(k, dist, log_dcos, pool=None):
     """A1 (real) and A2 (complex) from precomputed distances R and
-    ln|cos t - cos t'|."""
-    kr = k * dist
-    j0, y0 = special.j0(kr), special.y0(kr)
-    a1 = j0 / (-2.0 * np.pi)
-    a2 = np.empty(dist.shape, dtype=complex)
-    a2.real = j0 * (log_dcos / (2.0 * np.pi)) - 0.25 * y0
-    a2.imag = 0.25 * j0
-    return a1, a2
+    ln|cos t - cos t'|.
+
+    With a thread pool and more than ``A1A2_CHUNK`` entries, the entries
+    are split into chunks of that size for the pool's workers; the scipy
+    ufuncs release the interpreter lock, and every entry gets the same
+    arithmetic as in the serial call, so the result is bitwise the same.
+    """
+    d, lg = dist.reshape(-1), log_dcos.reshape(-1)
+    a1 = np.empty(d.shape)
+    a2 = np.empty(d.shape, dtype=complex)
+
+    def fill(lo, hi):
+        kr = k * d[lo:hi]
+        j0, y0 = special.j0(kr), special.y0(kr)
+        a1[lo:hi] = j0 / (-2.0 * np.pi)
+        a2.real[lo:hi] = j0 * (lg[lo:hi] / (2.0 * np.pi)) - 0.25 * y0
+        a2.imag[lo:hi] = 0.25 * j0
+
+    if pool is None or d.size <= A1A2_CHUNK:
+        fill(0, d.size)
+    else:
+        futures = [pool.submit(fill, lo, min(lo + A1A2_CHUNK, d.size))
+                   for lo in range(0, d.size, A1A2_CHUNK)]
+        for f in futures:
+            f.result()
+    return a1.reshape(dist.shape), a2.reshape(dist.shape)
 
 
 def _a2_diagonal(k, tau):
@@ -125,6 +146,8 @@ def kernel_split(k: float, arc: Arc, theta, theta_p) -> KernelSplit:
     depends on them only through their cosines, hence is even and
     2 pi periodic in both.
     """
+    if not np.isfinite(k):
+        raise ValueError("kernel_split requires a finite wavenumber")
     if k <= 0.0:
         raise ValueError("kernel_split requires k > 0")
     x = np.cos(np.asarray(theta, dtype=float))

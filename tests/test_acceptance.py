@@ -21,7 +21,7 @@ from arcscat.grids import (
 )
 from arcscat.linalg import eig_dense
 from arcscat.operators import (
-    _ng_action,
+    _n_terms,
     apply_J0,
     apply_N0,
     apply_S0,
@@ -30,6 +30,7 @@ from arcscat.operators import (
     build_S_matrix,
     dense_operator,
     log_quad_matrix,
+    n_frame,
     s0_eigenvalue,
     s0_eigenvalues,
 )
@@ -196,7 +197,7 @@ def test_criterion_05_matrix_oracle_equivalence():
         arc = make_arc(kind)
         s = build_S_matrix(arc, k, g)
         s_applied = s.entries @ np.exp(np.cos(g.nodes))
-        ng_applied = _ng_action(arc, k, s.entries, g, np.exp(np.cos(g.nodes)))
+        ng_applied = _n_terms(n_frame(arc, k, g), s.entries, np.exp(np.cos(g.nodes)))[0]
         for idx in (3, 17, 31, 44, 60):
             th_n = g.nodes[idx]
             nrm_n = eval_arc(arc, math.cos(th_n))[2]

@@ -9,16 +9,30 @@ eigenvalue formulas.
 """
 
 import math
+import os
+import sys
+import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy import special
 from scipy.integrate import quad
 
+import arcscat.specfun as specfun
+
 from arcscat.geometry import eval_arc, make_arc, speed, wavenumber_for_ratio
-from arcscat.grids import DensityVector, coeffs_from_values, theta_grid, values_from_coeffs
+from arcscat.grids import (
+    DensityVector,
+    coeffs_from_values,
+    d0_values,
+    t0_values,
+    theta_grid,
+    values_from_coeffs,
+)
 from arcscat.linalg import eig_dense
 from arcscat.operators import (
-    _ng_action,
+    _n_terms,
     apply_C,
     apply_J0,
     apply_N,
@@ -35,11 +49,13 @@ from arcscat.operators import (
     dense_n,
     dense_operator,
     log_quad_matrix,
+    n_frame,
     n_apply_values,
     s0_eigenvalue,
     s0_eigenvalues,
 )
 from arcscat.scattering import Incidence, rhs_tm, solve
+from arcscat.specfun import _a2_diagonal
 
 
 def dv(grid, values):
@@ -49,6 +65,55 @@ def dv(grid, values):
 def rand_dv(grid, seed=0):
     rng = np.random.default_rng(seed)
     return dv(grid, rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n))
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.float64), b.view(np.float64))
+
+
+def reference_s_entries(arc, k, grid):
+    """The serial full-matrix row-block loop that built S before the
+    triangle assembly, kept verbatim (with its A1/A2 evaluation inlined)
+    as the bitwise reference."""
+    n = grid.n
+    x = np.cos(grid.nodes)
+    points, _, _, tau = eval_arc(arc, x)
+    px, py = np.ascontiguousarray(points[:, 0]), np.ascontiguousarray(points[:, 1])
+    r = build_log_quad(grid).r
+    idx = np.arange(n)
+    weight = (np.pi / n) * tau
+    a2_diag = _a2_diagonal(k, tau)
+
+    entries = np.empty((n, n), dtype=complex)
+    block = max(1, (1 << 16) // n)
+    for lo in range(0, n, block):
+        hi = min(lo + block, n)
+        rows = slice(lo, hi)
+        dx = px[rows, None] - px[None, :]
+        dist = dx * dx
+        dx = py[rows, None] - py[None, :]
+        dist += dx * dx
+        np.sqrt(dist, out=dist)
+        dcos = np.abs(x[rows, None] - x[None, :])
+        diag = idx[rows, None] == idx[None, :]
+        dist[diag] = 1.0
+        dcos[diag] = 1.0
+        np.log(dcos, out=dcos)
+        kr = k * dist
+        j0, y0 = special.j0(kr), special.y0(kr)
+        a1 = j0 / (-2.0 * np.pi)
+        a2 = np.empty(dist.shape, dtype=complex)
+        a2.real = j0 * (dcos / (2.0 * np.pi)) - 0.25 * y0
+        a2.imag = 0.25 * j0
+        a1[diag] = -1.0 / (2.0 * np.pi)
+        a2[diag] = a2_diag[rows]
+        rmat = r[np.abs(idx[rows, None] - idx[None, :])] + r[idx[rows, None] + idx[None, :] + 1]
+        np.multiply(a1, rmat, out=rmat)
+        out = entries[rows]
+        out[...] = a2
+        out.real += rmat
+        out *= weight[None, :]
+    return entries
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +349,7 @@ def test_ng_matrix_against_adaptive_quadrature(kind):
     g = theta_grid(64)
     s = build_S_matrix(arc, k, g)
     dens = lambda tp: math.exp(math.cos(tp))
-    applied = _ng_action(arc, k, s.entries, g, np.exp(np.cos(g.nodes)))
+    applied = _n_terms(n_frame(arc, k, g), s.entries, np.exp(np.cos(g.nodes)))[0]
     for idx in (3, 17, 31, 44, 60):
         exact = smooth_hypersingular_oracle(arc, k, g.nodes[idx], dens)
         assert abs(applied[idx] - exact) / abs(exact) < 1e-9
@@ -317,6 +382,107 @@ def test_s_matrix_rejects_zero_k():
         build_S_matrix(make_arc("strip"), 0.0, theta_grid(16))
 
 
+@pytest.mark.parametrize("k", [np.nan, np.inf])
+def test_s_matrix_rejects_nonfinite_k(k):
+    with pytest.raises(ValueError, match="finite"):
+        build_S_matrix(make_arc("strip"), k, theta_grid(16))
+
+
+# ---------------------------------------------------------------------------
+# triangle assembly on a thread pool, against the serial full-matrix loop
+# ---------------------------------------------------------------------------
+@pytest.mark.parametrize("n", [4, 6, 250, 400, 512])
+@pytest.mark.parametrize("kind", ["strip", "halfcircle", "parabola", "spiral"])
+def test_s_matrix_bitwise_equals_full_matrix_loop(kind, n):
+    arc = make_arc(kind)
+    k = wavenumber_for_ratio(arc, 20.0)
+    g = theta_grid(n)
+    assert same_bits(build_S_matrix(arc, k, g).entries, reference_s_entries(arc, k, g))
+
+
+def spiral_case(n=400):
+    arc = make_arc("spiral")
+    return arc, wavenumber_for_ratio(arc, 50.0), theta_grid(n)
+
+
+def small_pool_tasks(monkeypatch, cores):
+    """Pretend to have ``cores`` usable cores, and split J0/Y0 into tasks
+    small enough that every panel of a few-hundred-node S uses the pool."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+    monkeypatch.setattr(specfun, "A1A2_CHUNK", 1 << 12)
+
+
+def recording_j0(calls):
+    """A stand-in for scipy.special in specfun whose j0 records the
+    calling thread and the live thread count."""
+    def j0(x):
+        calls.append((threading.current_thread(), threading.active_count()))
+        return special.j0(x)
+    return SimpleNamespace(j0=j0, y0=special.y0)
+
+
+def test_s_matrix_bitwise_under_fast_thread_switching(monkeypatch):
+    # more workers than this machine may have cores, and a thread switch
+    # every microsecond
+    small_pool_tasks(monkeypatch, 4)
+    arc, k, g = spiral_case(512)
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        entries = build_S_matrix(arc, k, g).entries
+    finally:
+        sys.setswitchinterval(old)
+    assert same_bits(entries, reference_s_entries(arc, k, g))
+
+
+def test_s_matrix_pool_threads_bounded_by_cores(monkeypatch):
+    small_pool_tasks(monkeypatch, 2)
+    calls = []
+    monkeypatch.setattr(specfun, "special", recording_j0(calls))
+    before = threading.active_count()
+    build_S_matrix(*spiral_case())
+    workers = {t for t, _ in calls if t is not threading.current_thread()}
+    assert 1 <= len(workers) <= 2
+    assert max(count for _, count in calls) <= before + 2
+
+
+def test_s_matrix_worker_error_propagates(monkeypatch):
+    small_pool_tasks(monkeypatch, 2)
+    caller, errors = [], []
+
+    def j0(x):
+        if threading.current_thread() is not caller[0]:
+            raise FloatingPointError("j0 failed in a pool worker")
+        return special.j0(x)
+
+    monkeypatch.setattr(specfun, "special", SimpleNamespace(j0=j0, y0=special.y0))
+
+    def run():
+        try:
+            build_S_matrix(*spiral_case())
+        except FloatingPointError as exc:
+            errors.append(exc)
+
+    thread = threading.Thread(target=run)
+    caller.append(thread)
+    thread.start()
+    thread.join(timeout=60.0)
+    assert not thread.is_alive()
+    assert [str(e) for e in errors] == ["j0 failed in a pool worker"]
+
+
+def test_s_matrix_on_one_core_starts_no_thread(monkeypatch):
+    small_pool_tasks(monkeypatch, 1)
+    calls = []
+    monkeypatch.setattr(specfun, "special", recording_j0(calls))
+    before = threading.active_count()
+    arc, k, g = spiral_case()
+    entries = build_S_matrix(arc, k, g).entries
+    assert calls
+    assert all(t is threading.current_thread() and count == before for t, count in calls)
+    assert same_bits(entries, reference_s_entries(arc, k, g))
+
+
 def test_ng_strip_entrywise_relation():
     # on the strip n . n' = 1, so Ng v = k^2 S(sin^2 theta v); the action
     # sums two products in another order, so it agrees to rounding only
@@ -325,7 +491,7 @@ def test_ng_strip_entrywise_relation():
     g = theta_grid(32)
     s = build_S_matrix(arc, k, g)
     v = rand_dv(g, 4).values
-    got = _ng_action(arc, k, s.entries, g, v)
+    got = _n_terms(n_frame(arc, k, g), s.entries, v)[0]
     expect = s.entries @ (k * k * np.sin(g.nodes) ** 2 * v)
     assert np.max(np.abs(got - expect)) < 1e-13 * np.max(np.abs(expect))
 
@@ -336,7 +502,7 @@ def test_ng_k_squared_prefactor():
     ratios = []
     for k in (1.0, 3.0):
         s = build_S_matrix(arc, k, g)
-        ng = np.column_stack([_ng_action(arc, k, s.entries, g, e) for e in np.eye(g.n)])
+        ng = np.column_stack([_n_terms(n_frame(arc, k, g), s.entries, e)[0] for e in np.eye(g.n)])
         ratios.append(ng / s.entries / (k * k))
     assert np.max(np.abs(ratios[0] - ratios[1])) < 1e-12
 
@@ -356,6 +522,23 @@ def test_apply_n_zero_frequency_factorization():
         lhs = n_apply_values(arc, 0.0, s0, g, e.values)
         rhs = apply_N0(e).values
         assert np.max(np.abs(lhs - rhs)) < 1e-11
+
+
+@pytest.mark.parametrize("n", [64, 1200, 1600])
+def test_n_stage_bitwise_equals_separate_products(n):
+    # the blocked pass must reproduce the three full S products; at
+    # N = 1200 fixed 2 MiB blocks would leave a one-row tail, whose
+    # product rounds differently
+    arc = make_arc("spiral")
+    k = wavenumber_for_ratio(arc, n / 8.0)
+    g = theta_grid(n)
+    s = build_S_matrix(arc, k, g).entries
+    v = rand_dv(g, 12).values
+    _, _, normals, tau = eval_arc(arc, np.cos(g.nodes))
+    w = (k * k) * np.sin(g.nodes) ** 2 * v
+    expect = (sum(n_c * (s @ (n_c * w)) for n_c in normals.T)
+              + d0_values(s @ (t0_values(v) / tau)) / tau)
+    assert same_bits(n_apply_values(arc, k, s, g, v), expect)
 
 
 def test_apply_n_linearity():

@@ -2,10 +2,14 @@
 evaluation."""
 
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
 
+import arcscat.operators as operators
+import arcscat.specfun as specfun
 from arcscat.geometry import eval_arc, make_arc, wavenumber_for_ratio
 from arcscat.grids import DensityVector, cosine_coeffs, theta_grid
 from arcscat.linalg import SolveReport
@@ -382,3 +386,32 @@ def test_incident_field_values():
     u = incident_field(inc, pts)
     assert abs(u[0] - np.exp(2j)) < 1e-15
     assert abs(u[1] - 1.0) < 1e-15
+
+
+# ---------------------------------------------------------------------------
+# thread discipline of a solve
+# ---------------------------------------------------------------------------
+TRACED_OPERATOR_ATTRIBUTES = ("_a1a2_offdiag", "_a2_diagonal", "eval_arc", "build_log_quad",
+                              "t0_values", "d0_values")
+
+
+def test_traced_operator_attributes_run_on_the_main_thread(monkeypatch):
+    # The benchmark's tracer wraps these module attributes with spans on
+    # one shared stack, so they may only be called from the thread that
+    # runs the solve, never from a pool worker of the S assembly.  Two
+    # cores and small J0/Y0 tasks make the N = 400 assembly use the pool.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(specfun, "A1A2_CHUNK", 1 << 12)
+    calls = {}
+    for name in TRACED_OPERATOR_ATTRIBUTES:
+        def guard(*args, _orig=getattr(operators, name), _name=name, **kwargs):
+            assert threading.current_thread() is threading.main_thread(), \
+                f"{_name} called off the main thread"
+            calls[_name] = calls.get(_name, 0) + 1
+            return _orig(*args, **kwargs)
+        monkeypatch.setattr(operators, name, guard)
+    arc = make_arc("spiral")
+    k = wavenumber_for_ratio(arc, 50.0)
+    for formulation in ("TE_S", "TM_NS"):
+        assert solve(formulation, arc, Incidence(90.0, k), theta_grid(400)).report.converged
+    assert set(calls) == set(TRACED_OPERATOR_ATTRIBUTES)

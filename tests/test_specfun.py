@@ -194,3 +194,9 @@ def test_kernel_split_diagonal_limit():
 def test_kernel_split_rejects_nonpositive_k():
     with pytest.raises(ValueError):
         kernel_split(0.0, make_arc("strip"), 0.3, 0.4)
+
+
+@pytest.mark.parametrize("k", [np.nan, np.inf])
+def test_kernel_split_rejects_nonfinite_k(k):
+    with pytest.raises(ValueError, match="finite"):
+        kernel_split(k, make_arc("strip"), 0.3, 0.4)
