@@ -2,9 +2,12 @@
 nonsymmetric eigenvalue computation.
 
 GMRES is the non-restarted variant (the Krylov basis is stored densely):
-Arnoldi with modified Gram-Schmidt plus one reorthogonalization pass,
-Givens rotations on the Hessenberg least-squares problem, and the usual
-relative-residual recurrence.  Iteration counts reported by the solver
+Arnoldi with classical Gram-Schmidt run twice (CGS2: each pass is one
+BLAS-2 projection onto the whole basis, and the second pass makes it as
+stable as reorthogonalized modified Gram-Schmidt; Giraud, Langou and
+Rozloznik, Comput. Math. Appl. 50, 2005), Givens rotations on the
+Hessenberg least-squares problem, and the usual relative-residual
+recurrence.  Iteration counts reported by the solver
 are the number of Arnoldi steps taken, which for a well-scaled problem
 equals the number of operator applications beyond the initial residual.
 
@@ -16,6 +19,7 @@ against ||A||.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable, List
@@ -74,46 +78,45 @@ def gmres(apply_op: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
 
     basis = np.empty((maxit + 1, n), dtype=complex)
     h = np.zeros((maxit + 1, maxit), dtype=complex)
-    cs = np.zeros(maxit, dtype=complex)
-    sn = np.zeros(maxit, dtype=complex)
-    g = np.zeros(maxit + 1, dtype=complex)
-
+    # Givens cosines and sines, and the rotated right-hand side, as Python
+    # scalars: their per-entry updates are cheaper than on numpy scalars
+    cs: List[complex] = []
+    sn: List[complex] = []
     basis[0] = b / bnorm
-    g[0] = bnorm
+    g = [complex(bnorm)]
     residuals: List[float] = []
     converged = False
     steps = 0
 
     for j in range(maxit):
-        w = np.array(apply_op(basis[j]), dtype=complex)  # fresh buffer: MGS updates in place
+        w = np.array(apply_op(basis[j]), dtype=complex)  # fresh buffer: updated in place
         if not np.all(np.isfinite(w)):
             raise GmresError(f"operator produced non-finite values at iteration {j + 1}")
-        # modified Gram-Schmidt with one reorthogonalization pass
-        for i in range(j + 1):
-            h[i, j] = np.vdot(basis[i], w)
-            w -= h[i, j] * basis[i]
-        for i in range(j + 1):
-            corr = np.vdot(basis[i], w)
-            h[i, j] += corr
-            w -= corr * basis[i]
+        # classical Gram-Schmidt, twice (CGS2): two BLAS-2 projections
+        v = basis[: j + 1]
+        for _ in range(2):
+            c = (v @ w.conj()).conj()  # c_i = <v_i, w>
+            w -= c @ v
+            h[: j + 1, j] += c
         wnorm = np.linalg.norm(w)
         h[j + 1, j] = wnorm
 
         # previously accumulated rotations, then a new one zeroing h[j+1, j]
+        col = h[: j + 2, j].tolist()
         for i in range(j):
-            hi = np.conj(cs[i]) * h[i, j] + np.conj(sn[i]) * h[i + 1, j]
-            h[i + 1, j] = -sn[i] * h[i, j] + cs[i] * h[i + 1, j]
-            h[i, j] = hi
-        denom = np.hypot(abs(h[j, j]), abs(h[j + 1, j]))
+            col[i], col[i + 1] = (cs[i].conjugate() * col[i] + sn[i].conjugate() * col[i + 1],
+                                  -sn[i] * col[i] + cs[i] * col[i + 1])
+        denom = math.hypot(abs(col[j]), abs(col[j + 1]))
         if denom == 0.0:
-            cs[j], sn[j] = 1.0, 0.0
+            cs.append(1.0 + 0j)
+            sn.append(0j)
         else:
-            cs[j] = h[j, j] / denom
-            sn[j] = h[j + 1, j] / denom
-        h[j, j] = denom
-        h[j + 1, j] = 0.0
-        g[j + 1] = -sn[j] * g[j]
-        g[j] = np.conj(cs[j]) * g[j]
+            cs.append(col[j] / denom)
+            sn.append(col[j + 1] / denom)
+        col[j], col[j + 1] = denom, 0.0
+        h[: j + 2, j] = col
+        g.append(-sn[j] * g[j])
+        g[j] = cs[j].conjugate() * g[j]
 
         steps = j + 1
         est = abs(g[j + 1]) / bnorm
@@ -126,7 +129,7 @@ def gmres(apply_op: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
             break
         basis[j + 1] = w / wnorm
 
-    y = np.linalg.solve(h[:steps, :steps], g[:steps])
+    y = np.linalg.solve(h[:steps, :steps], np.array(g[:steps]))
     x = basis[:steps].T @ y
     final = float(np.linalg.norm(b - apply_op(x)) / bnorm)
     report = SolveReport(iterations=steps, residuals=residuals, converged=converged,

@@ -65,10 +65,12 @@ from .specfun import _a1a2_offdiag, _a2_diagonal
 
 DENSE_CAP = 4096
 # An upper-triangle row panel of the S assembly holds about
-# max(PANEL_ENTRIES, N^2 / 64) kernel entries.  Each panel ends in a wait
-# for the J0/Y0 pool, which costs milliseconds on a busy host, so large N
-# gets about 32 panels; their temporaries stay near 6 % of S.
-PANEL_ENTRIES = 1 << 16
+# max(PANEL_ENTRIES, N^2 / 64) kernel entries.  Up to N = 1024 a panel's
+# temporaries (about 40 bytes an entry) fit in a 2 MiB L2, and its
+# diagonal square, evaluated whole, stays small.  Each panel ends in a
+# wait for the J0/Y0 pool, which costs milliseconds on a busy host, so
+# large N gets about 32 panels; their temporaries stay near 6 % of S.
+PANEL_ENTRIES = 1 << 14
 # bytes of S per row block of the N stage's blocked products
 ROW_BLOCK_BYTES = 2 << 20
 

@@ -31,6 +31,7 @@ far-field quantities are reported).
 
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -205,7 +206,18 @@ def recover_nu(sol: Solution) -> DensityVector:
 
 
 def far_field(sol: Solution, m: int) -> FarField:
-    """Far-field samples at m uniformly spaced observation angles."""
+    """Far-field samples at m uniformly spaced observation angles.
+
+    For even m, direction j + m/2 is the negative of direction j, so its
+    row of phases exp(-i k d_obs . r) is the complex conjugate of row j:
+    the exponentials are evaluated for the first m/2 directions only, and
+    the second half comes from the same matrix applied to the conjugated
+    density columns.  TM applies d_obs . n after the product, through the
+    columns n_x psi and n_y psi.
+    """
+    if isinstance(m, bool):
+        raise TypeError("observation count must be an integer, not bool")
+    m = operator.index(m)
     if m <= 0:
         raise ValueError("observation count must be positive")
     grid, k = sol.grid, sol.k
@@ -213,14 +225,23 @@ def far_field(sol: Solution, m: int) -> FarField:
     angles = 360.0 * np.arange(m) / m
     rad = np.deg2rad(angles)
     obs = np.stack([np.cos(rad), np.sin(rad)], axis=-1)  # (m, 2)
-    phase = np.exp(-1j * k * (obs @ points.T))  # (m, n)
+    if sol.formulation in TE_FORMULATIONS:
+        cols = (te_layer_density(sol) * tau)[:, None]
+    else:
+        cols = normals * (tm_layer_density(sol) * tau * np.sin(grid.nodes) ** 2)[:, None]
+    half = m // 2 if m % 2 == 0 else m
+    phase = -1j * k * (obs[:half] @ points.T)  # (half, n)
+    np.exp(phase, out=phase)
+    if half == m:
+        sums = phase @ cols
+    else:
+        top, bottom = np.split(phase @ np.hstack((cols, cols.conj())), 2, axis=1)
+        sums = np.concatenate((top, bottom.conj()))  # (m, columns)
     w = np.pi / grid.n
     if sol.formulation in TE_FORMULATIONS:
-        density = te_layer_density(sol) * tau
-        values = w * (phase @ density)
+        values = w * sums[:, 0]
     else:
-        psi = tm_layer_density(sol) * tau * np.sin(grid.nodes) ** 2
-        values = w * ((-1j * k) * (obs @ normals.T) * phase) @ psi
+        values = (-1j * k * w) * np.sum(obs * sums, axis=1)
     return FarField(angles_deg=angles, values=values)
 
 

@@ -4,9 +4,12 @@ import mpmath
 import numpy as np
 import pytest
 
+from arcscat.geometry import make_arc, wavenumber_for_ratio
 from arcscat.grids import theta_grid
 from arcscat.linalg import GmresError, eig_dense, gmres
-from arcscat.operators import apply_J0, assemble_dense, apply_S0, s0_eigenvalues
+from arcscat.operators import (apply_J0, assemble_dense, apply_S0, dense_operator,
+                               s0_eigenvalues)
+from arcscat.scattering import Incidence, rhs_tm
 
 
 def test_gmres_identity_one_iteration():
@@ -88,6 +91,76 @@ def test_gmres_on_second_kind_operator_converges_fast():
     _, rep = gmres(lambda u: j0 @ u, b, tol=1e-12, maxit=100)
     assert rep.converged
     assert rep.iterations <= 25
+
+
+def mgs_gmres_residuals(apply_op, b, tol, maxit):
+    """The GMRES loop with modified Gram-Schmidt and one
+    reorthogonalization pass, one vector at a time, kept verbatim from
+    before CGS2 as the reference: its residual estimates."""
+    b = np.asarray(b, dtype=complex)
+    n = b.shape[0]
+    bnorm = np.linalg.norm(b)
+    maxit = min(maxit, n)
+    basis = np.empty((maxit + 1, n), dtype=complex)
+    h = np.zeros((maxit + 1, maxit), dtype=complex)
+    cs = np.zeros(maxit, dtype=complex)
+    sn = np.zeros(maxit, dtype=complex)
+    g = np.zeros(maxit + 1, dtype=complex)
+    basis[0] = b / bnorm
+    g[0] = bnorm
+    residuals = []
+    for j in range(maxit):
+        w = np.array(apply_op(basis[j]), dtype=complex)  # fresh buffer: MGS updates in place
+        # modified Gram-Schmidt with one reorthogonalization pass
+        for i in range(j + 1):
+            h[i, j] = np.vdot(basis[i], w)
+            w -= h[i, j] * basis[i]
+        for i in range(j + 1):
+            corr = np.vdot(basis[i], w)
+            h[i, j] += corr
+            w -= corr * basis[i]
+        wnorm = np.linalg.norm(w)
+        h[j + 1, j] = wnorm
+
+        # previously accumulated rotations, then a new one zeroing h[j+1, j]
+        for i in range(j):
+            hi = np.conj(cs[i]) * h[i, j] + np.conj(sn[i]) * h[i + 1, j]
+            h[i + 1, j] = -sn[i] * h[i, j] + cs[i] * h[i + 1, j]
+            h[i, j] = hi
+        denom = np.hypot(abs(h[j, j]), abs(h[j + 1, j]))
+        if denom == 0.0:
+            cs[j], sn[j] = 1.0, 0.0
+        else:
+            cs[j] = h[j, j] / denom
+            sn[j] = h[j + 1, j] / denom
+        h[j, j] = denom
+        h[j + 1, j] = 0.0
+        g[j + 1] = -sn[j] * g[j]
+        g[j] = np.conj(cs[j]) * g[j]
+
+        est = abs(g[j + 1]) / bnorm
+        residuals.append(float(est))
+        if est <= tol or wnorm == 0.0:
+            break
+        basis[j + 1] = w / wnorm
+    return residuals
+
+
+def test_gmres_cgs2_matches_mgs_on_long_run():
+    # the dense hypersingular N of the spiral needs 160 steps here
+    arc = make_arc("spiral")
+    k = wavenumber_for_ratio(arc, 25.0)
+    g = theta_grid(200)
+    a = dense_operator("N", arc, k, g)
+    b = rhs_tm(arc, Incidence(90.0, k), g).values
+    tol = 1e-10
+    _, rep = gmres(lambda u: a @ u, b, tol=tol, maxit=1000)
+    ref = mgs_gmres_residuals(lambda u: a @ u, b, tol=tol, maxit=1000)
+    assert len(ref) >= 100
+    assert rep.converged
+    assert rep.iterations == len(ref)
+    assert np.max(np.abs(np.array(rep.residuals) / np.array(ref) - 1.0)) <= 1e-6
+    assert rep.final_residual <= 10 * tol
 
 
 def test_eig_upper_triangular():

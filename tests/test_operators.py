@@ -8,6 +8,7 @@ explicit trigonometric matrices for transform conjugation, and analytic
 eigenvalue formulas.
 """
 
+import itertools
 import math
 import os
 import sys
@@ -391,8 +392,10 @@ def test_s_matrix_rejects_nonfinite_k(k):
 # ---------------------------------------------------------------------------
 # triangle assembly on a thread pool, against the serial full-matrix loop
 # ---------------------------------------------------------------------------
-@pytest.mark.parametrize("n", [4, 6, 250, 400, 512])
-@pytest.mark.parametrize("kind", ["strip", "halfcircle", "parabola", "spiral"])
+# panels hold PANEL_ENTRIES entries up to N = 1024 and N^2/64 beyond it
+@pytest.mark.parametrize("kind,n", [
+    *itertools.product(["strip", "halfcircle", "parabola", "spiral"], [4, 6, 250, 400, 512]),
+    ("spiral", 1024), ("spiral", 2048)])
 def test_s_matrix_bitwise_equals_full_matrix_loop(kind, n):
     arc = make_arc(kind)
     k = wavenumber_for_ratio(arc, 20.0)

@@ -292,6 +292,53 @@ def test_far_field_error_shape_mismatch():
         far_field_error(far_field(sol, 10), far_field(sol, 20))
 
 
+@pytest.mark.parametrize("m,error", [(2.5, TypeError), (True, TypeError), (False, TypeError),
+                                     ("4", TypeError), (0, ValueError), (-3, ValueError)])
+def test_far_field_rejects_bad_observation_count(m, error):
+    g = theta_grid(16)
+    sol = make_solution("TE_S", g, np.ones(16, dtype=complex))
+    with pytest.raises(error, match="observation count|integer"):
+        far_field(sol, m)
+
+
+def test_far_field_accepts_numpy_integer_count():
+    g = theta_grid(16)
+    sol = make_solution("TE_S", g, np.ones(16, dtype=complex))
+    assert far_field(sol, np.int64(6)).values.shape == (6,)
+
+
+def direct_far_field_values(sol, m):
+    """The direct m x N far-field quadrature, one exponential per
+    (direction, node), kept verbatim as the reference for the half-phase
+    evaluation."""
+    grid, k = sol.grid, sol.k
+    points, _, normals, tau = eval_arc(sol.arc, np.cos(grid.nodes))
+    angles = 360.0 * np.arange(m) / m
+    rad = np.deg2rad(angles)
+    obs = np.stack([np.cos(rad), np.sin(rad)], axis=-1)  # (m, 2)
+    phase = np.exp(-1j * k * (obs @ points.T))  # (m, n)
+    w = np.pi / grid.n
+    if sol.formulation == "TE_S":
+        density = sol.density.values * tau
+        values = w * (phase @ density)
+    else:
+        psi = sol.s_matrix.entries @ sol.density.values * tau * np.sin(grid.nodes) ** 2
+        values = w * ((-1j * k) * (obs @ normals.T) * phase) @ psi
+    return angles, values
+
+
+@pytest.mark.parametrize("formulation", ["TE_S", "TM_NS"])
+def test_far_field_matches_direct_quadrature(formulation):
+    arc = make_arc("spiral")
+    k = wavenumber_for_ratio(arc, 50.0)
+    sol = solve(formulation, arc, Incidence(90.0, k), theta_grid(400), tol=1e-10)
+    for m in (7, 90, 720):
+        ff = far_field(sol, m)
+        angles, ref = direct_far_field_values(sol, m)
+        assert np.array_equal(ff.angles_deg, angles)
+        assert np.max(np.abs(ff.values - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 # ---------------------------------------------------------------------------
 # near field
 # ---------------------------------------------------------------------------
