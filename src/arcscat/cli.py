@@ -271,18 +271,25 @@ def cmd_tables(args) -> int:
             continue
         k = wavenumber_for_ratio(arc, ratio)
         inc = Incidence(angle_deg=args.inc_deg, k=k)
+        # Every formulation on grid n, then every reference on 2n, so the
+        # solves on one grid reuse one S; only far fields are kept across,
+        # so the S of grid n can be freed before the 2n build.
         grid = _grid(n)
+        fields = []
         for formulation in formulations:
             sol = _run_solve(formulation, arc, inc, grid, args)
-            eps = ""
             if args.self_check:
-                ref = _run_solve(formulation, arc, inc, _grid(2 * n), args)
-                eps = _fmt(far_field_error(far_field(sol, args.obs),
-                                           far_field(ref, args.obs)))
+                fields.append(far_field(sol, args.obs))
             rows.append([_fmt(ratio), str(n), formulation, str(sol.report.iterations),
-                         _fmt(sol.mat_seconds), _fmt(sol.report.elapsed), eps])
+                         _fmt(sol.mat_seconds), _fmt(sol.report.elapsed), ""])
             print(f"L/lambda={ratio:g} n={n} {formulation}: "
                   f"iterations={sol.report.iterations}")
+            del sol
+        if args.self_check:
+            ref_grid = _grid(2 * n)
+            for row, formulation, ff in zip(rows[-len(formulations):], formulations, fields):
+                ref = far_field(_run_solve(formulation, arc, inc, ref_grid, args), args.obs)
+                row[-1] = _fmt(far_field_error(ff, ref))
     _write_csv(_outdir(args) / f"table_{args.table}.csv",
                "L_over_lambda,n,formulation,iterations,mat_seconds,solve_seconds,eps_r",
                rows)

@@ -42,6 +42,7 @@ from .geometry import Arc, eval_arc
 from .grids import DensityVector, ThetaGrid
 from .linalg import SolveReport, gmres
 from .operators import (
+    NFrame,
     OperatorMatrix,
     build_S_matrix,
     n_apply,
@@ -84,7 +85,12 @@ class FarField:
 
 @dataclass
 class Solution:
-    """Solved periodic density with its provenance and solver report."""
+    """Solved periodic density with its provenance and solver report.
+
+    ``s_matrix`` is the read-only S of the solve's discretization, shared
+    with every other solve on the same (arc, k, grid); ``mat_seconds`` is
+    the time spent assembling it, 0.0 when the solve reused it.
+    """
 
     formulation: str
     density: DensityVector
@@ -116,13 +122,72 @@ def rhs_tm(arc: Arc, inc: Incidence, grid: ThetaGrid) -> DensityVector:
     return DensityVector(grid, -1j * inc.k * dn * np.exp(1j * inc.k * phase))
 
 
+@dataclass(frozen=True)
+class _Discretization:
+    """The incidence-independent part of a solve: S and the N frame of
+    one (arc, k, grid), with the builder that assembled S."""
+
+    arc: Arc
+    k: float
+    n: int
+    nodes: np.ndarray
+    builder: object
+    s: OperatorMatrix
+    frame: NFrame
+
+    def matches(self, arc: Arc, k: float, grid: ThetaGrid) -> bool:
+        # Arc identity, not equality: Arc.__eq__ ignores the
+        # parameterization callables.  A builder since replaced (patched
+        # or instrumented) must assemble its own S.
+        return (self.arc is arc and self.k == k and self.n == grid.n
+                and np.array_equal(self.nodes, grid.nodes)
+                and self.builder is build_S_matrix)
+
+
+# One-slot memo of the last discretization solved on.  It is read once
+# and replaced by one assignment, without a lock: threads that race on a
+# miss may each build S, which wastes work but is correct, since every
+# build of one discretization gives the same S.
+_last: Optional[_Discretization] = None
+
+
+def _discretize(arc: Arc, k: float, grid: ThetaGrid):
+    """S (read-only) and the N frame of (arc, k, grid), reused from the
+    previous solve when it ran on the same discretization, with the
+    seconds spent assembling S (0.0 on reuse)."""
+    global _last
+    last = _last
+    if last is not None and last.matches(arc, k, grid):
+        return last.s, last.frame, 0.0
+    # Empty the slot before building, so that an S no Solution holds is
+    # freed first and two of them are never resident at once.
+    _last = last = None
+    builder = build_S_matrix
+    start = time.perf_counter()
+    s = builder(arc, k, grid)
+    mat_seconds = time.perf_counter() - start
+    s.entries.flags.writeable = False
+    frame = n_frame(arc, k, grid)
+    _last = _Discretization(arc=arc, k=k, n=grid.n, nodes=grid.nodes.copy(),
+                            builder=builder, s=s, frame=frame)
+    return s, frame, mat_seconds
+
+
 def solve(formulation: str, arc: Arc, inc: Incidence, grid: ThetaGrid,
           tol: float = 1e-8, maxit: int = 2000) -> Solution:
-    """Assemble S once and run GMRES on the chosen equation.
+    """Run GMRES on the chosen equation, with S assembled once per
+    discretization.
 
     S is the only stored N x N matrix: the N pipeline applies its smooth
     part Ng through S as well, so an N application costs three passes
     over S and an NS application four.
+
+    S and the N frame depend on the arc, k and the grid, not on the
+    incidence or the formulation, so a solve on the same ``arc`` object,
+    the same k and a grid with the same nodes as the previous solve
+    reuses them and reports ``mat_seconds`` = 0.0.  The last S stays
+    resident until a solve on another discretization replaces it (655 MB
+    at N = 6400); it is read-only, and every Solution on it shares it.
 
     Returns a Solution whose ``report`` carries the iteration count and
     residual history; ``report.converged`` is False when maxit was hit.
@@ -130,10 +195,7 @@ def solve(formulation: str, arc: Arc, inc: Incidence, grid: ThetaGrid,
     if formulation not in FORMULATIONS:
         raise ValueError(f"unknown formulation {formulation!r}; expected one of {FORMULATIONS}")
     k = inc.k
-    start = time.perf_counter()
-    s = build_S_matrix(arc, k, grid)
-    mat_seconds = time.perf_counter() - start
-    frame = n_frame(arc, k, grid)
+    s, frame, mat_seconds = _discretize(arc, k, grid)
 
     def s_action(u):
         return s.entries @ u
@@ -259,15 +321,23 @@ def node_spacing(arc: Arc, grid: ThetaGrid) -> float:
     return float(np.max(np.hypot(np.diff(points[:, 0]), np.diff(points[:, 1]))))
 
 
+# Kernel entries per point chunk of near_field: a chunk's distance, kernel
+# and Hankel temporaries then take about 5 MB, whatever N and the number
+# of points.
+NEAR_CHUNK_ENTRIES = 1 << 16
+
+
 def near_field(sol: Solution, points: np.ndarray,
-               mask_distance: Optional[float] = None,
-               chunk: int = 4096) -> np.ndarray:
+               mask_distance: Optional[float] = None) -> np.ndarray:
     """Scattered field at arbitrary points by direct node quadrature.
 
     Points closer to the arc than ``mask_distance`` (default: twice the
     maximum node spacing, below which the smooth rule degrades) are
     returned as NaN.  No singularity-cancellation close evaluation is
-    attempted.
+    attempted.  Points are evaluated in chunks of about
+    ``NEAR_CHUNK_ENTRIES`` kernel entries (128 points at N = 512); in a
+    call with two or more points, a point's value does not depend on the
+    chunk it falls in.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
@@ -284,9 +354,14 @@ def near_field(sol: Solution, points: np.ndarray,
         density = tm_layer_density(sol) * tau * np.sin(grid.nodes) ** 2
         tm = True
 
-    out = np.empty(pts.shape[0], dtype=complex)
-    for lo in range(0, pts.shape[0], chunk):
-        block = pts[lo : lo + chunk]
+    # Near-equal chunks of at least two points: a one-row product takes
+    # another BLAS path and may differ in the last bit.
+    count = pts.shape[0]
+    chunks = max(1, min(count // 2, -(-count * grid.n // NEAR_CHUNK_ENTRIES)))
+    out = np.empty(count, dtype=complex)
+    for c in range(chunks):
+        rows = slice(count * c // chunks, count * (c + 1) // chunks)
+        block = pts[rows]
         dx = block[:, 0][:, None] - nodes_xy[:, 0][None, :]
         dy = block[:, 1][:, None] - nodes_xy[:, 1][None, :]
         dist = np.hypot(dx, dy)
@@ -300,7 +375,7 @@ def near_field(sol: Solution, points: np.ndarray,
             kernel = 0.25j * hankel1_0(k * dist)
         vals = w * (kernel @ density)
         vals[near] = np.nan + 1j * np.nan
-        out[lo : lo + chunk] = vals
+        out[rows] = vals
     return out if np.ndim(points) > 1 else out[0]
 
 

@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+import arcscat.scattering as scattering
 from arcscat import cli
 from arcscat.cli import main
 
@@ -215,6 +216,24 @@ def test_tables_strip_tm(tmp_path):
     it_n = int(rows["TM_N"][3])
     it_ns = int(rows["TM_NS"][3])
     assert it_ns < it_n
+
+
+def test_tables_self_check_builds_s_once_per_grid(tmp_path, monkeypatch):
+    sizes = []
+    real = scattering.build_S_matrix
+
+    def counting(arc, k, grid):
+        sizes.append(grid.n)
+        return real(arc, k, grid)
+
+    monkeypatch.setattr(scattering, "build_S_matrix", counting)
+    out = tmp_path / "tab"
+    assert run(["tables", "--table", "strip-tm", "--cap", "50", "--self-check",
+                "--out", str(out)]) == 0
+    assert sizes == [400, 800]
+    rows = [line.split(",") for line in (out / "table_strip-tm.csv").read_text().splitlines()[1:]]
+    assert [row[:3] for row in rows] == [["50", "400", "TM_N"], ["50", "400", "TM_NS"]]
+    assert all(0.0 <= float(row[6]) < 1e-6 for row in rows)
 
 
 def test_tables_unknown_id(tmp_path):

@@ -3,12 +3,16 @@ evaluation."""
 
 import math
 import os
+import sys
 import threading
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 import arcscat.operators as operators
+import arcscat.scattering as scattering
 import arcscat.specfun as specfun
 from arcscat.geometry import eval_arc, make_arc, wavenumber_for_ratio
 from arcscat.grids import DensityVector, cosine_coeffs, theta_grid
@@ -361,6 +365,46 @@ def test_near_field_accepts_list_and_tuple_points():
     assert from_tuple == near_field(sol, np.array([0.0, 1.0]))
 
 
+def strip_map_solution(formulation):
+    arc = make_arc("strip")
+    k = wavenumber_for_ratio(arc, 20.0)
+    return solve(formulation, arc, Incidence(60.0, k), theta_grid(512))
+
+
+def map_points(count, seed=0):
+    rng = np.random.default_rng(seed)
+    return np.column_stack([rng.uniform(-2.0, 2.0, count), rng.uniform(-1.5, 1.5, count)])
+
+
+def test_near_field_memory_is_bounded_by_its_chunks():
+    # one 4096-point chunk at N = 512 takes about 134 MB of temporaries,
+    # chunks of NEAR_CHUNK_ENTRIES kernel entries about 5 MB
+    sol = strip_map_solution("TE_S")
+    pts = map_points(4096)
+    tracemalloc.start()
+    try:
+        near_field(sol, pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+
+
+@pytest.mark.parametrize("formulation", ["TE_S", "TM_NS"])
+def test_near_field_values_do_not_depend_on_chunking(formulation, monkeypatch):
+    sol = strip_map_solution(formulation)
+    pts = map_points(301)  # 3 chunks whole, 2 + 2 chunks as halves
+    pts[7] = [0.0, 1e-6]  # masked
+    whole = near_field(sol, pts)
+    halves = np.concatenate([near_field(sol, pts[:150]), near_field(sol, pts[150:])])
+    assert np.isnan(whole[7])
+    assert np.array_equal(whole.view(float), halves.view(float), equal_nan=True)
+    # the smallest chunks still hold two or three points each
+    monkeypatch.setattr(scattering, "NEAR_CHUNK_ENTRIES", 1)
+    smallest = near_field(sol, pts)
+    assert np.array_equal(whole.view(float), smallest.view(float), equal_nan=True)
+
+
 def test_near_field_masks_points_on_arc():
     arc = make_arc("strip")
     k = wavenumber_for_ratio(arc, 10.0)
@@ -462,3 +506,135 @@ def test_traced_operator_attributes_run_on_the_main_thread(monkeypatch):
     for formulation in ("TE_S", "TM_NS"):
         assert solve(formulation, arc, Incidence(90.0, k), theta_grid(400)).report.converged
     assert set(calls) == set(TRACED_OPERATOR_ATTRIBUTES)
+
+
+# ---------------------------------------------------------------------------
+# reuse of S across solves on one discretization
+# ---------------------------------------------------------------------------
+@pytest.fixture
+def builds(monkeypatch):
+    """Grid sizes of the S assemblies solves make from here on."""
+    sizes = []
+    real = scattering.build_S_matrix
+
+    def counting(arc, k, grid):
+        sizes.append(grid.n)
+        return real(arc, k, grid)
+
+    monkeypatch.setattr(scattering, "build_S_matrix", counting)
+    return sizes
+
+
+def same_bits(a, b):
+    return np.array_equal(np.asarray(a).view(float), np.asarray(b).view(float))
+
+
+def test_second_solve_reuses_s(builds):
+    arc = make_arc("spiral")
+    k = wavenumber_for_ratio(arc, 5.0)
+    g = theta_grid(64)
+    first = solve("TM_NS", arc, Incidence(60.0, k), g)
+    second = solve("TM_NS", arc, Incidence(60.0, k), g)
+    assert builds == [64]
+    assert second.s_matrix is first.s_matrix
+    assert first.mat_seconds > 0.0 and second.mat_seconds == 0.0
+    assert same_bits(second.density.values, first.density.values)
+    assert same_bits(far_field(second, 90).values, far_field(first, 90).values)
+
+
+@pytest.mark.parametrize("change,rebuilds", [
+    ("k", True),
+    ("arc object", True),
+    ("n", True),
+    ("builder", True),
+    ("fresh grid", False),
+    ("incidence and formulation", False),
+])
+def test_which_changes_rebuild_s(builds, monkeypatch, change, rebuilds):
+    arc, k, n = make_arc("strip"), 3.0, 32
+    solve("TE_S", arc, Incidence(60.0, k), theta_grid(n))
+    form, angle = "TE_S", 60.0
+    if change == "k":
+        k = 4.0
+    elif change == "arc object":
+        arc = make_arc("strip")
+    elif change == "n":
+        n = 48
+    elif change == "builder":
+        real = scattering.build_S_matrix
+        monkeypatch.setattr(scattering, "build_S_matrix", lambda *a: real(*a))
+    elif change == "incidence and formulation":
+        form, angle = "TM_N", 30.0
+    sol = solve(form, arc, Incidence(angle, k), theta_grid(n))
+    assert len(builds) == (2 if rebuilds else 1)
+    assert (sol.mat_seconds == 0.0) is not rebuilds
+
+
+def test_reused_s_is_read_only():
+    sol = solve("TE_S", make_arc("strip"), Incidence(60.0, 3.0), theta_grid(32))
+    with pytest.raises(ValueError, match="read-only"):
+        sol.s_matrix.entries[0, 0] = 0.0
+
+
+def test_miss_frees_the_old_s_before_building(monkeypatch):
+    real = scattering.build_S_matrix
+    watched, alive_at_build = [], []
+
+    def build(arc, k, grid):
+        alive_at_build.append([ref() is not None for ref in watched])
+        return real(arc, k, grid)
+
+    monkeypatch.setattr(scattering, "build_S_matrix", build)
+    arc = make_arc("strip")
+    sol = solve("TE_S", arc, Incidence(60.0, 3.0), theta_grid(32))
+    watched.append(weakref.ref(sol.s_matrix))
+    del sol
+    solve("TE_S", arc, Incidence(60.0, 4.0), theta_grid(32))
+    assert alive_at_build == [[], [False]]
+
+
+def test_failed_build_leaves_the_memo_empty(builds, monkeypatch):
+    arc = make_arc("strip")
+    solve("TE_S", arc, Incidence(60.0, 3.0), theta_grid(32))
+
+    def failing(arc, k, grid):
+        raise RuntimeError("assembly failed")
+
+    monkeypatch.setattr(scattering, "build_S_matrix", failing)
+    with pytest.raises(RuntimeError, match="assembly failed"):
+        solve("TE_S", arc, Incidence(60.0, 4.0), theta_grid(32))
+    assert scattering._last is None
+
+
+def test_solves_racing_on_the_memo_stay_correct():
+    # More threads than cores and fast switching, alternating between two
+    # discretizations: every density must equal the serial one bitwise.
+    arc = make_arc("strip")
+    inc = Incidence(60.0, 3.0)
+    grids = [theta_grid(32), theta_grid(48)]
+    expect = {g.n: solve("TM_NS", arc, inc, g).density.values for g in grids}
+    results, errors = [], []
+
+    def worker(i):
+        try:
+            for j in range(6):
+                g = grids[(i + j) % 2]
+                results.append((g.n, solve("TM_NS", arc, inc, g).density.values))
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    count = len(os.sched_getaffinity(0)) + 2
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(count)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(results) == 6 * len(threads)
+    assert all(same_bits(values, expect[n]) for n, values in results)
