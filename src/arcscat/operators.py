@@ -33,8 +33,8 @@ Three layers live here.
   The three S products of N share one pass over S by cache-sized row
   blocks, so N reads S from memory once and NS twice.  The node data
   of the pipeline (tau, normals, k^2 sin^2 theta) is an ``NFrame``,
-  evaluated once per solve.  Dense materializations exist for spectrum
-  studies.
+  evaluated once per discretization.  Dense materializations exist for
+  spectrum studies.
 """
 
 from __future__ import annotations
@@ -339,9 +339,10 @@ def _check_pipeline(arc: Arc, k: float, s_matrix: OperatorMatrix, n: int):
 
 @dataclass(frozen=True)
 class NFrame:
-    """Node data of the N pipeline for one (arc, k, grid): the speed tau,
+    """Node data of one (arc, k, grid): the points (N x 2), the speed tau,
     the unit normals (N x 2) and the Ng weight k^2 sin^2 theta."""
 
+    points: np.ndarray
     tau: np.ndarray
     normals: np.ndarray
     ng_weight: np.ndarray
@@ -349,9 +350,10 @@ class NFrame:
 
 def n_frame(arc: Arc, k: float, grid: ThetaGrid) -> NFrame:
     """Evaluate the arc frame at the nodes once, for any number of N
-    applications."""
-    _, _, normals, tau = eval_arc(arc, np.cos(grid.nodes))
-    return NFrame(tau=tau, normals=normals, ng_weight=(k * k) * np.sin(grid.nodes) ** 2)
+    applications, right-hand sides and field evaluations."""
+    points, _, normals, tau = eval_arc(arc, np.cos(grid.nodes))
+    return NFrame(points=points, tau=tau, normals=normals,
+                  ng_weight=(k * k) * np.sin(grid.nodes) ** 2)
 
 
 def _s_products(s_entries: np.ndarray, vectors) -> np.ndarray:

@@ -380,3 +380,49 @@ def test_criterion_12_assembly_complexity():
     assert report(12, ok, f"matrix assembly wall-time fit exponent {slope:.2f} "
                           f"(<= 2.2) over N={sizes}, times "
                           + "/".join(f"{t*1e3:.0f}ms" for t in times))
+
+
+# Iteration marks of criterion 13 at tol = 1e-10 and N = 64 or 128: about
+# 1.5 times the largest count measured at 0.5, 30, 60, 90 and 135 degrees
+# of incidence (strip TE_S 10, TE_NS 9, TM_N 29, TM_NS 9; spiral TE_S 25,
+# TE_NS 17, TM_N 87, TM_NS 18).
+LOW_FREQUENCY_ITERATIONS = {
+    "strip": {"TE_S": 15, "TE_NS": 15, "TM_N": 45, "TM_NS": 15},
+    "spiral": {"TE_S": 40, "TE_NS": 25, "TM_N": 130, "TM_NS": 27},
+}
+
+
+def test_criterion_13_low_frequency():
+    # The second-kind claim holds "for low and high frequencies alike":
+    # from L/lambda = 1 down to 1e-4 the counts stay under fixed marks and
+    # do not grow as k -> 0, and N = 64 already matches N = 128.  These
+    # far fields take the band-limited resampled path (M = 28 to 68 of
+    # the 360 directions).
+    start = time.perf_counter()
+    ratios = (1e-4, 1e-3, 1e-2, 0.1, 1.0)
+    worst_eps, bad = 0.0, []
+    for kind, marks in LOW_FREQUENCY_ITERATIONS.items():
+        arc = make_arc(kind)
+        for form, mark in marks.items():
+            counts = {}
+            for ratio in ratios:
+                inc = Incidence(60.0, wavenumber_for_ratio(arc, ratio))
+                fields = []
+                for n in (64, 128):
+                    sol = solve(form, arc, inc, theta_grid(n), tol=1e-10)
+                    if not sol.report.converged or sol.report.iterations > mark:
+                        bad.append(f"{kind}/{form}/{ratio:g}/N={n}: "
+                                   f"{sol.report.iterations} iterations (mark {mark})")
+                    counts[ratio, n] = sol.report.iterations
+                    fields.append(far_field(sol, 360))
+                worst_eps = max(worst_eps, far_field_error(*fields))
+            for n in (64, 128):
+                low = max(counts[ratio, n] for ratio in ratios[:3])
+                if low > counts[1.0, n] + 2:
+                    bad.append(f"{kind}/{form}/N={n}: {low} iterations below "
+                               f"L/lambda = 1e-2 against {counts[1.0, n]} at 1")
+    elapsed = time.perf_counter() - start
+    ok = not bad and worst_eps <= 1e-9 and elapsed < 30.0
+    assert report(13, ok, f"low frequency, L/lambda 1e-4..1: iterations within marks "
+                          f"and no growth as k -> 0, eps_r {worst_eps:.1e} (<= 1e-9), "
+                          f"{elapsed:.1f}s" + (f"; {bad}" if bad else ""))

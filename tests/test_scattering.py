@@ -1,6 +1,7 @@
 """Right-hand sides, the five formulations, density recovery and field
 evaluation."""
 
+import dataclasses
 import math
 import os
 import sys
@@ -331,16 +332,65 @@ def direct_far_field_values(sol, m):
     return angles, values
 
 
+def band_limit_samples(arc, k, grid):
+    """M = 2L + 2 of the far-field rule: L = ceil(kR + 12 (kR)^(1/3) + 12)
+    with R the radius of the nodes about their bounding-box centre."""
+    points = eval_arc(arc, np.cos(grid.nodes))[0]
+    center = 0.5 * (points.min(axis=0) + points.max(axis=0))
+    kr = k * np.max(np.hypot(*(points - center).T))
+    return 2 * math.ceil(kr + 12.0 * np.cbrt(kr) + 12.0) + 2
+
+
 @pytest.mark.parametrize("formulation", ["TE_S", "TM_NS"])
 def test_far_field_matches_direct_quadrature(formulation):
-    arc = make_arc("spiral")
-    k = wavenumber_for_ratio(arc, 50.0)
-    sol = solve(formulation, arc, Incidence(90.0, k), theta_grid(400), tol=1e-10)
-    for m in (7, 90, 720):
-        ff = far_field(sol, m)
-        angles, ref = direct_far_field_values(sol, m)
-        assert np.array_equal(ff.angles_deg, angles)
-        assert np.max(np.abs(ff.values - ref)) <= 1e-12 * np.max(np.abs(ref))
+    # M runs from 32 to 470 here: m = 7 is always summed directly, m = 90
+    # is resampled up to L/lambda = 1 and direct above, and 720 and the
+    # odd 721 are always resampled.
+    g = theta_grid(400)
+    paths = set()
+    for kind in ("strip", "spiral", "parabola", "halfcircle"):
+        arc = make_arc(kind)
+        for ratio in (0.01, 1.0, 20.0, 50.0):
+            k = wavenumber_for_ratio(arc, ratio)
+            sol = solve(formulation, arc, Incidence(90.0, k), g, tol=1e-10)
+            samples = band_limit_samples(arc, k, g)
+            for m in (7, 90, 720, 721):
+                ff = far_field(sol, m)
+                angles, ref = direct_far_field_values(sol, m)
+                assert np.array_equal(ff.angles_deg, angles)
+                assert np.max(np.abs(ff.values - ref)) <= 1e-12 * np.max(np.abs(ref)), \
+                    (kind, ratio, m)
+                paths.add((samples < m, m % 2))
+    assert paths == {(False, 0), (False, 1), (True, 0), (True, 1)}
+
+
+@pytest.mark.parametrize("formulation,kind,ratio", [("TE_S", "strip", 20.0),
+                                                    ("TM_N", "spiral", 0.01)])
+def test_far_field_evaluates_exponentials_for_half_its_samples(formulation, kind, ratio,
+                                                               monkeypatch):
+    # Rows of exp(-i k d . r): M/2 when the m directions are resampled from
+    # M = 2L + 2, m/2 for an even m summed directly and m for an odd one.
+    arc = make_arc(kind)
+    k = wavenumber_for_ratio(arc, ratio)
+    g = theta_grid(256)
+    sol = make_solution(formulation, g, np.cos(g.nodes) + 0.5j, arc=arc, k=k)
+    samples = band_limit_samples(arc, k, g)
+    rows = []
+    real_exp = np.exp
+
+    def exp(x, *args, **kwargs):
+        if np.ndim(x) == 2 and np.shape(x)[1] == g.n:
+            rows.append(np.shape(x)[0])
+        return real_exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", exp)
+    for m in (samples - 1, samples, samples + 1, 720, 721):
+        rows.clear()
+        far_field(sol, m)
+        if m > samples:
+            assert sum(rows) == samples // 2
+        else:
+            assert sum(rows) == (m // 2 if m % 2 == 0 else m)
 
 
 # ---------------------------------------------------------------------------
@@ -403,6 +453,18 @@ def test_near_field_values_do_not_depend_on_chunking(formulation, monkeypatch):
     monkeypatch.setattr(scattering, "NEAR_CHUNK_ENTRIES", 1)
     smallest = near_field(sol, pts)
     assert np.array_equal(whole.view(float), smallest.view(float), equal_nan=True)
+
+
+@pytest.mark.parametrize("formulation", ["TE_S", "TM_NS"])
+def test_near_field_of_a_lone_point_matches_it_in_a_batch(formulation):
+    sol = strip_map_solution(formulation)
+    pts = map_points(24, seed=3)
+    batch = near_field(sol, pts)
+    for i, (p, q) in enumerate(zip(pts, pts[::-1])):
+        lone = near_field(sol, p)
+        assert np.array_equal(lone, near_field(sol, [p, q])[0], equal_nan=True)
+        assert np.array_equal(lone, batch[i], equal_nan=True)
+        assert np.array_equal(near_field(sol, p[None]), [lone], equal_nan=True)
 
 
 def test_near_field_masks_points_on_arc():
@@ -477,6 +539,35 @@ def test_incident_field_values():
     u = incident_field(inc, pts)
     assert abs(u[0] - np.exp(2j)) < 1e-15
     assert abs(u[1] - 1.0) < 1e-15
+
+
+def test_solves_and_fields_on_one_discretization_share_its_frame(monkeypatch):
+    # The right-hand sides, far fields and near fields read the node frame
+    # of the solve's discretization; the arc is evaluated at the nodes when
+    # the discretization is built, and never again.
+    frames = {"scattering": 0, "operators": 0}
+    for name, module in (("scattering", scattering), ("operators", operators)):
+        def spy(*args, _real=module.eval_arc, _name=name):
+            frames[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(module, "eval_arc", spy)
+    arc = make_arc("spiral")
+    k = wavenumber_for_ratio(arc, 5.0)
+    g = theta_grid(64)
+    pts = np.array([[0.0, 3.0], [2.5, -1.0], [-3.0, 0.5]])
+    sols, built = [], None
+    for form, angle in [(f, 60.0) for f in FORMULATIONS] + [("TE_S", 120.0)]:
+        sol = solve(form, arc, Incidence(angle, k), g)
+        built = frames["operators"] if built is None else built
+        sols.append((sol, far_field(sol, 720), near_field(sol, pts), near_field(sol, pts[0])))
+    assert frames == {"scattering": 0, "operators": built}
+    assert all(sol.frame is sols[0][0].frame for sol, *_ in sols)
+    # the frame a solve carries equals a fresh evaluation bitwise
+    for sol, ff, nf, lone in sols:
+        fresh = dataclasses.replace(sol, frame=None)
+        assert same_bits(far_field(fresh, 720).values, ff.values)
+        assert same_bits(near_field(fresh, pts), nf)
+        assert same_bits([near_field(fresh, pts[0])], [lone])
 
 
 # ---------------------------------------------------------------------------
