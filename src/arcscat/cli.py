@@ -219,6 +219,8 @@ def cmd_fieldmap(args) -> int:
     inc = Incidence(angle_deg=args.inc_deg, k=k)
     formulation = _formulation(args)
     x0, y0, x1, y1 = _parse_floats(args.rect, 4, "--rect")
+    if not (np.all(np.isfinite([x0, y0, x1, y1])) and x0 < x1 and y0 < y1):
+        raise SystemExit("error: --rect expects finite x0,y0,x1,y1 with x0 < x1 and y0 < y1")
     try:
         w, h = (int(p) for p in args.res.lower().split("x"))
     except ValueError:

@@ -41,7 +41,14 @@ import numpy as np
 import scipy.fft
 
 from .geometry import Arc, eval_arc
-from .grids import DensityVector, ThetaGrid
+from .grids import (
+    DensityVector,
+    ThetaGrid,
+    coeffs_from_values,
+    nearest_admissible,
+    theta_grid,
+    values_from_coeffs,
+)
 from .linalg import SolveReport, gmres
 from .operators import (
     NFrame,
@@ -403,41 +410,31 @@ def node_spacing(arc: Arc, grid: ThetaGrid) -> float:
 # and Hankel temporaries then take about 5 MB, whatever N and the number
 # of points.
 NEAR_CHUNK_ENTRIES = 1 << 16
+# Cosine modes of the near-field density below this share of its peak are
+# dropped when the density is resampled to fewer nodes.
+DENSITY_CUTOFF = 1e-14
+# ln(1 / DENSITY_CUTOFF), rounded down: the cosine coefficients of an
+# integrand analytic in a strip of half-width a decay like exp(-a m), so
+# they fall below the cutoff beyond mode CUTOFF_EFOLDS / a.
+CUTOFF_EFOLDS = 32.0
+# Arc nodes the distance bound of near_field measures against.
+COARSE_NODES = 64
 
 
-def near_field(sol: Solution, points: np.ndarray,
-               mask_distance: Optional[float] = None) -> np.ndarray:
-    """Scattered field at arbitrary points by direct node quadrature.
-
-    Points closer to the arc than ``mask_distance`` (default: twice the
-    maximum node spacing, below which the smooth rule degrades) are
-    returned as NaN.  No singularity-cancellation close evaluation is
-    attempted.  Points are evaluated in chunks of about
-    ``NEAR_CHUNK_ENTRIES`` kernel entries (128 points at N = 512), and a
-    point's value does not depend on the chunk it falls in, nor on the
-    other points of the call.
-    """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    count = pts.shape[0]
+def _layer_sums(pts: np.ndarray, nodes_xy: np.ndarray, normals: np.ndarray,
+                density: np.ndarray, k: float, w: float, mask_distance: float,
+                tm: bool) -> np.ndarray:
+    """w * sum_j K(x, r_j) density_j at each point x, where K is the
+    single-layer (TE) or double-layer (TM) kernel; points closer than
+    ``mask_distance`` to a node are NaN."""
+    count = len(pts)
     if count == 1:
         # a lone point is evaluated as a two-row block, like any other
         pts = np.vstack((pts, pts))
-    grid, k = sol.grid, sol.k
-    frame = _frame(sol)
-    nodes_xy, normals = frame.points, frame.normals
-    if mask_distance is None:
-        mask_distance = 2.0 * _max_spacing(nodes_xy)
-    w = np.pi / grid.n
-    if sol.formulation in TE_FORMULATIONS:
-        density = te_layer_density(sol) * frame.tau
-        tm = False
-    else:
-        density = tm_layer_density(sol) * frame.tau * np.sin(grid.nodes) ** 2
-        tm = True
-
+    n = len(nodes_xy)
     # Near-equal chunks of at least two points: a one-row product takes
     # another BLAS path and may differ in the last bit.
-    chunks = max(1, min(len(pts) // 2, -(-len(pts) * grid.n // NEAR_CHUNK_ENTRIES)))
+    chunks = max(1, min(len(pts) // 2, -(-len(pts) * n // NEAR_CHUNK_ENTRIES)))
     out = np.empty(len(pts), dtype=complex)
     for c in range(chunks):
         rows = slice(len(pts) * c // chunks, len(pts) * (c + 1) // chunks)
@@ -456,7 +453,134 @@ def near_field(sol: Solution, points: np.ndarray,
         vals = w * (kernel @ density)
         vals[near] = np.nan + 1j * np.nan
         out[rows] = vals
-    return out[:count] if np.ndim(points) > 1 else out[0]
+    return out[:count]
+
+
+def _node_ladder(n: int, fewest: float) -> np.ndarray:
+    """n and the admissible sizes at half-octave steps below it that are
+    at least ``fewest``, ascending."""
+    sizes, target = [n], n / math.sqrt(2.0)
+    while (size := nearest_admissible(round(target))) >= fewest and size < sizes[-1]:
+        sizes.append(size)
+        target /= math.sqrt(2.0)
+    return np.array(sizes[::-1])
+
+
+def _distance_bound(pts: np.ndarray, nodes_xy: np.ndarray, rho: float) -> np.ndarray:
+    """A lower bound on each point's distance to the arc.
+
+    Every ``step``-th node and the last one are at most step * pi / N
+    apart in theta, and the tips pi / (2N) from the end nodes, so every
+    point of the arc lies within arc length rho * step * pi / (2N) of one
+    of them, rho = max tau sin theta.
+    """
+    n = len(nodes_xy)
+    step = max(1, n // COARSE_NODES)
+    dist = np.full(len(pts), np.inf)
+    for x, y in nodes_xy[np.r_[0:n:step, n - 1]]:
+        np.minimum(dist, np.hypot(pts[:, 0] - x, pts[:, 1] - y), out=dist)
+    return dist - rho * step * np.pi / (2.0 * n)
+
+
+def _node_counts(pts: np.ndarray, frame: NFrame, grid: ThetaGrid, k: float,
+                 coeffs: np.ndarray, mask_distance: float) -> np.ndarray:
+    """The node count M <= N of each point's rule (see ``near_field``)."""
+    n = grid.n
+    mags = np.abs(coeffs)
+    above = np.flatnonzero(mags > DENSITY_CUTOFF * mags.max())
+    b_sigma = above[-1] + 1.0 if above.size else 1.0
+    rho = float(np.max(frame.tau * np.sin(grid.nodes)))
+    b_far = k * rho + 2.0 * np.cbrt(k * rho) + 8.0
+
+    counts = np.full(len(pts), n)
+    ladder = _node_ladder(n, 0.5 * (b_far + b_sigma))
+    if len(ladder) == 1:
+        return counts
+    d = _distance_bound(pts, frame.points, rho)
+    far = d >= mask_distance  # so d >= 0
+    with np.errstate(divide="ignore"):
+        b_kernel = b_far + CUTOFF_EFOLDS * rho / d[far]
+    steps = np.searchsorted(ladder, 0.5 * (b_kernel + b_sigma))
+    counts[far] = ladder[np.minimum(steps, len(ladder) - 1)]
+    return counts
+
+
+def near_field(sol: Solution, points: np.ndarray,
+               mask_distance: Optional[float] = None) -> np.ndarray:
+    """Scattered field at arbitrary points by node quadrature.
+
+    ``points`` has shape (2,), which gives a scalar, or (P, 2).  Points
+    closer to the arc than ``mask_distance`` (default: twice the maximum
+    node spacing, below which the smooth rule degrades) are returned as
+    NaN.  No singularity-cancellation close evaluation is attempted.
+
+    Each point is evaluated with the node rule on M <= N nodes, chosen
+    from two bandwidths (Trefethen & Weideman, SIAM Rev. 56, 2014):
+
+    * the density's, B_sigma: 1 + the last cosine mode of the quadrature
+      density (the layer density times tau, and times sin^2 theta for
+      TM) above ``DENSITY_CUTOFF`` (1e-14) of its peak;
+    * the kernel's at distance d from the arc, B_K(d) = k rho +
+      2 (k rho)^(1/3) + 8 + 32 rho / d with rho = max tau sin theta: the
+      integrand is analytic in a strip of half-width about d / rho in
+      theta, and 32 (``CUTOFF_EFOLDS``) is ln(1e14).  d is a lower bound
+      on the distance: the distance to ``COARSE_NODES`` evenly picked
+      nodes, less the arc length between them.
+
+    M is the smallest size of a ladder, N and the admissible sizes at
+    half-octave steps below it, that is at least (B_K + B_sigma) / 2:
+    the M-node rule integrates cosine modes below 2M exactly, so the
+    product of kernel and density is integrated exactly up to the
+    cutoff, and as M >= min(B_sigma, B_K), the density modes beyond M
+    meet no kernel mode.  The density is resampled by truncating its
+    cosine coefficients to M modes, and the M-node points and normals
+    come from ``n_frame`` once per distinct M.
+    Points with d < ``mask_distance``, and every point when no ladder
+    size below N suffices even far away (e.g. a marginal grid), take the
+    N-node rule with no distance pass, and their values and NaN masks
+    are those of the N-node rule bitwise.  On the 48 x 24 map of the
+    strip at L/lambda = 20 with N = 512 (B_sigma about 100), the rule
+    evaluates 0.3 of the P N kernel entries, and agrees with the N-node
+    rule to 1e-14 of max |u| (1e-12 on strip, spiral, parabola and
+    half-circle at L/lambda up to 50).
+
+    Points are evaluated in chunks of about ``NEAR_CHUNK_ENTRIES`` kernel
+    entries (128 points at N = 512), and a point's value does not depend
+    on the chunk it falls in, nor on the other points of the call.
+    """
+    pts = np.asarray(points, dtype=float)
+    if pts.shape != (2,) and (pts.ndim != 2 or pts.shape[1] != 2):
+        raise ValueError(f"points must have shape (2,) or (P, 2), not {pts.shape}")
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("points must be finite")
+    lone = pts.ndim == 1
+    pts = pts.reshape(-1, 2)
+    grid, k = sol.grid, sol.k
+    frame = _frame(sol)
+    if mask_distance is None:
+        mask_distance = 2.0 * _max_spacing(frame.points)
+    elif not (np.isfinite(mask_distance) and mask_distance >= 0.0):
+        raise ValueError("mask_distance must be finite and >= 0")
+    tm = sol.formulation not in TE_FORMULATIONS
+    if tm:
+        density = tm_layer_density(sol) * frame.tau * np.sin(grid.nodes) ** 2
+    else:
+        density = te_layer_density(sol) * frame.tau
+
+    coeffs = coeffs_from_values(density)
+    counts = _node_counts(pts, frame, grid, k, coeffs, mask_distance)
+    out = np.empty(len(pts), dtype=complex)
+    for m in np.unique(counts):
+        rows = np.flatnonzero(counts == m)
+        if m == grid.n:
+            nodes_xy, normals, values = frame.points, frame.normals, density
+        else:
+            reduced = n_frame(sol.arc, k, theta_grid(m))
+            nodes_xy, normals = reduced.points, reduced.normals
+            values = values_from_coeffs(coeffs[:m])
+        out[rows] = _layer_sums(pts[rows], nodes_xy, normals, values, k,
+                                np.pi / m, mask_distance, tm)
+    return out[0] if lone else out
 
 
 def incident_field(inc: Incidence, points: np.ndarray) -> np.ndarray:

@@ -20,7 +20,8 @@ both angles; the coincidence limit is
 using R / |cos theta - cos theta'| -> tau(cos theta).
 
 J_0, Y_0, J_1 and Y_1 are the scipy.special ufuncs j0, y0, j1, y1; the
-Hankel functions are assembled from them as J + i Y.  The public
+Hankel functions are written from them into one complex array, J into
+its real part and Y into its imaginary part.  The public
 functions validate their input (finite, and x > 0 where Y is involved)
 and are vectorized over numpy arrays.
 """
@@ -60,6 +61,17 @@ def _dispatch(x, name, positive, kernel, scalar_type=float):
     return out.reshape(a.shape)
 
 
+def _hankel(j, y):
+    """a -> J(a) + i Y(a), with J and Y written straight into the real
+    and imaginary parts of the result."""
+    def kernel(a):
+        h = np.empty(a.shape, dtype=complex)
+        j(a, out=h.real)
+        y(a, out=h.imag)
+        return h
+    return kernel
+
+
 def bessel_j0(x):
     """Bessel function J_0 for x >= 0 (scalar or array)."""
     return _dispatch(x, "bessel_j0", False, special.j0)
@@ -72,7 +84,7 @@ def bessel_y0(x):
 
 def hankel1_0(x):
     """First-kind Hankel function H_0^1(x) = J_0(x) + i Y_0(x), x > 0."""
-    return _dispatch(x, "hankel1_0", True, lambda a: special.j0(a) + 1j * special.y0(a), complex)
+    return _dispatch(x, "hankel1_0", True, _hankel(special.j0, special.y0), complex)
 
 
 def bessel_j1(x):
@@ -87,7 +99,7 @@ def bessel_y1(x):
 
 def hankel1_1(x):
     """First-kind Hankel function H_1^1(x) = J_1(x) + i Y_1(x), x > 0."""
-    return _dispatch(x, "hankel1_1", True, lambda a: special.j1(a) + 1j * special.y1(a), complex)
+    return _dispatch(x, "hankel1_1", True, _hankel(special.j1, special.y1), complex)
 
 
 @dataclass(frozen=True)

@@ -205,6 +205,19 @@ def test_fieldmap_masked_pixels_midgray(tmp_path):
     assert np.all(pixels[masked] == 128)
 
 
+@pytest.mark.parametrize("rect", ["nan,-1,1,1", "-1,-1,inf,1", "1,1,1,1", "1,-1,-1,1",
+                                  "-1,1,1,-1"])
+def test_fieldmap_bad_rect_rejected_before_the_solve(tmp_path, monkeypatch, rect):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before checking --rect")
+    monkeypatch.setattr(cli, "solve", no_solve)
+    out = tmp_path / "map"
+    with pytest.raises(SystemExit, match=re.escape("error: --rect expects finite x0,y0,x1,y1")):
+        run(["fieldmap", "--arc", "strip", "--ratio", "5", "--n", "64", f"--rect={rect}",
+             "--res", "4x3", "--out", str(out)])
+    assert not out.exists()
+
+
 def test_tables_strip_tm(tmp_path):
     out = tmp_path / "tab"
     rc = run(["tables", "--table", "strip-tm", "--cap", "50", "--out", str(out)])

@@ -16,7 +16,7 @@ import arcscat.operators as operators
 import arcscat.scattering as scattering
 import arcscat.specfun as specfun
 from arcscat.geometry import eval_arc, make_arc, wavenumber_for_ratio
-from arcscat.grids import DensityVector, cosine_coeffs, theta_grid
+from arcscat.grids import DensityVector, cosine_coeffs, nearest_admissible, theta_grid
 from arcscat.linalg import SolveReport
 from arcscat.scattering import (
     FORMULATIONS,
@@ -465,6 +465,151 @@ def test_near_field_of_a_lone_point_matches_it_in_a_batch(formulation):
         assert np.array_equal(lone, near_field(sol, [p, q])[0], equal_nan=True)
         assert np.array_equal(lone, batch[i], equal_nan=True)
         assert np.array_equal(near_field(sol, p[None]), [lone], equal_nan=True)
+
+
+@pytest.mark.parametrize("points", [np.zeros((3, 3)), np.zeros(3), np.zeros((2, 2, 2)),
+                                    np.zeros((2, 1)), np.zeros(()), np.zeros((0, 3))],
+                         ids=["three-columns", "three-vector", "3d", "one-column", "scalar",
+                              "empty-three-columns"])
+def test_near_field_rejects_points_of_the_wrong_shape(points):
+    sol = make_solution("TE_S", theta_grid(32), np.ones(32, dtype=complex), k=3.0)
+    with pytest.raises(ValueError, match="shape"):
+        near_field(sol, points)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_near_field_rejects_non_finite_points(bad):
+    sol = make_solution("TE_S", theta_grid(32), np.ones(32, dtype=complex), k=3.0)
+    with pytest.raises(ValueError, match="finite"):
+        near_field(sol, [[0.0, 1.0], [bad, 2.0]])
+    with pytest.raises(ValueError, match="finite"):
+        near_field(sol, (0.0, bad))
+
+
+@pytest.mark.parametrize("mask_distance", [np.nan, np.inf, -1e-3])
+def test_near_field_rejects_a_bad_mask_distance(mask_distance):
+    sol = make_solution("TE_S", theta_grid(32), np.ones(32, dtype=complex), k=3.0)
+    with pytest.raises(ValueError, match="mask_distance"):
+        near_field(sol, [[0.0, 1e-9]], mask_distance=mask_distance)
+
+
+def test_near_field_of_no_points_is_empty():
+    sol = make_solution("TE_S", theta_grid(32), np.ones(32, dtype=complex), k=3.0)
+    u = near_field(sol, np.zeros((0, 2)))
+    assert u.shape == (0,) and u.dtype == complex
+
+
+def n_node_rule(sol, pts):
+    """The near field on all N nodes for every point, as near_field
+    computed it before it chose a node count per point."""
+    frame = scattering._frame(sol)
+    nodes_xy, normals = frame.points, frame.normals
+    grid, k = sol.grid, sol.k
+    mask_distance = 2.0 * scattering._max_spacing(nodes_xy)
+    w = np.pi / grid.n
+    if sol.formulation in scattering.TE_FORMULATIONS:
+        density = scattering.te_layer_density(sol) * frame.tau
+        tm = False
+    else:
+        density = scattering.tm_layer_density(sol) * frame.tau * np.sin(grid.nodes) ** 2
+        tm = True
+
+    chunks = max(1, min(len(pts) // 2, -(-len(pts) * grid.n // scattering.NEAR_CHUNK_ENTRIES)))
+    out = np.empty(len(pts), dtype=complex)
+    for c in range(chunks):
+        rows = slice(len(pts) * c // chunks, len(pts) * (c + 1) // chunks)
+        block = pts[rows]
+        dx = block[:, 0][:, None] - nodes_xy[:, 0][None, :]
+        dy = block[:, 1][:, None] - nodes_xy[:, 1][None, :]
+        dist = np.hypot(dx, dy)
+        near = dist.min(axis=1) < mask_distance
+        dist[dist == 0.0] = 1.0  # masked anyway
+        if tm:
+            # grad_y G . n_y with G = (i/4) H_0^1(k |x - y|)
+            kernel = (0.25j * k) * specfun.hankel1_1(k * dist) * \
+                (dx * normals[None, :, 0] + dy * normals[None, :, 1]) / dist
+        else:
+            kernel = 0.25j * specfun.hankel1_0(k * dist)
+        vals = w * (kernel @ density)
+        vals[near] = np.nan + 1j * np.nan
+        out[rows] = vals
+    return out
+
+
+def resolved_size(arc, k, factor):
+    """The admissible N nearest factor * max(64, 2.2 k max tau sin theta)."""
+    theta = theta_grid(1024).nodes
+    rho = np.max(eval_arc(arc, np.cos(theta))[3] * np.sin(theta))
+    return nearest_admissible(round(factor * max(64.0, 2.2 * k * rho)))
+
+
+def near_field_probes(arc, seed=0):
+    """A 24 x 12 map over the arc's box widened by 30 % of its size on
+    each side, and 200 points at distances from 3e-4 to 2 box sizes off
+    the arc along its normals."""
+    rng = np.random.default_rng(seed)
+    on_arc = eval_arc(arc, np.linspace(-1.0, 1.0, 400))[0]
+    lo, hi = on_arc.min(axis=0), on_arc.max(axis=0)
+    size = float(np.max(hi - lo))
+    lo, hi = lo - 0.3 * size, hi + 0.3 * size
+    gx, gy = np.meshgrid(np.linspace(lo[0], hi[0], 24), np.linspace(lo[1], hi[1], 12))
+    foot, _, normals, _ = eval_arc(arc, rng.uniform(-1.0, 1.0, 200))
+    offsets = size * 10.0 ** rng.uniform(-3.5, 0.3, 200) * rng.choice([-1.0, 1.0], 200)
+    return np.vstack([np.column_stack([gx.ravel(), gy.ravel()]),
+                      foot + offsets[:, None] * normals])
+
+
+@pytest.mark.parametrize("kind", ["strip", "spiral", "parabola", "halfcircle"])
+def test_near_field_on_fewer_nodes_matches_the_n_node_rule(kind, monkeypatch):
+    # Each point's rule on M <= N nodes agrees with the N-node rule to
+    # 1e-12 of max |u|, and a point evaluated on N nodes equals it bitwise.
+    counts = []
+    real = scattering._layer_sums
+
+    def spy(pts, nodes_xy, *args):
+        counts.append((pts.copy(), len(nodes_xy)))
+        return real(pts, nodes_xy, *args)
+
+    monkeypatch.setattr(scattering, "_layer_sums", spy)
+    arc = make_arc(kind)
+    pts = near_field_probes(arc)
+    reduced = 0
+    for ratio in (1.0, 10.0, 20.0, 50.0):
+        k = wavenumber_for_ratio(arc, ratio)
+        for factor in (1, 2, 4):
+            grid = theta_grid(resolved_size(arc, k, factor))
+            for formulation in ("TE_S", "TM_NS"):
+                sol = solve(formulation, arc, Incidence(60.0, k), grid)
+                counts.clear()
+                u = near_field(sol, pts)
+                ref = n_node_rule(sol, pts)
+                kept = np.isfinite(ref)
+                assert np.array_equal(np.isfinite(u), kept)
+                err = np.max(np.abs(u[kept] - ref[kept])) / np.max(np.abs(ref[kept]))
+                assert err <= 1e-12, (ratio, grid.n, formulation, err)
+                on_n = np.vstack([p for p, m in counts if m == grid.n] or [np.zeros((0, 2))])
+                rows = (pts[:, None, :] == on_n[None, :, :]).all(axis=2).any(axis=1)
+                assert np.all(rows[~kept])  # masked points take the N-node rule
+                assert np.array_equal(u[rows].view(float), ref[rows].view(float), equal_nan=True)
+                reduced += sum(len(p) for p, m in counts if m < grid.n)
+    assert reduced > 0
+
+
+def test_near_field_map_evaluates_a_third_of_the_kernel_entries(monkeypatch):
+    # The 48 x 24 map of the benchmark on the strip at L/lambda = 20 and
+    # N = 512: the N-node rule evaluates P N Hankel entries.
+    entries = []
+    real = scattering.hankel1_0
+    monkeypatch.setattr(scattering, "hankel1_0", lambda x: entries.append(np.size(x)) or real(x))
+    sol = strip_map_solution("TE_S")
+    gx, gy = np.meshgrid(np.linspace(-2.0, 2.0, 48), np.linspace(1.5, -1.5, 24))
+    pts = np.column_stack([gx.ravel(), gy.ravel()])
+    u = near_field(sol, pts)
+    assert sum(entries) <= len(pts) * 512 / 3
+    ref = n_node_rule(sol, pts)
+    kept = np.isfinite(ref)
+    assert np.array_equal(np.isfinite(u), kept)
+    assert np.max(np.abs(u[kept] - ref[kept])) <= 1e-12 * np.max(np.abs(ref[kept]))
 
 
 def test_near_field_masks_points_on_arc():

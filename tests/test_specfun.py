@@ -82,6 +82,15 @@ def test_hankel_relative_error_sweep():
     assert np.max(np.abs(h - ref) / np.abs(ref)) < 1e-12
 
 
+@pytest.mark.parametrize("hankel,j,y", [(hankel1_0, ss.j0, ss.y0), (hankel1_1, ss.j1, ss.y1)],
+                         ids=["order-0", "order-1"])
+def test_hankel_is_j_plus_i_y_bitwise(hankel, j, y):
+    x = np.geomspace(1e-8, 1e4, 4002).reshape(3, -1)[:, ::3]  # strided 2-D input too
+    h = hankel(x)
+    assert h.shape == x.shape
+    assert np.array_equal(h.view(float), (j(x) + 1j * y(x)).view(float))
+
+
 def test_order_one_against_scipy():
     x = np.concatenate([np.geomspace(1e-6, 12.0, 1501), np.geomspace(12.0, 1e4, 1501)])
     assert np.max(np.abs(bessel_j1(x) - ss.j1(x))) < 5e-11
