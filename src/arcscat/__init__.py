@@ -3,34 +3,20 @@ open arcs in two dimensions."""
 
 from .geometry import Arc, eval_arc, make_arc, wavenumber_for_ratio
 from .grids import (
-    DensityVector,
     ThetaGrid,
-    apply_D0,
-    apply_T0,
-    apply_T0_tau,
-    cosine_coeffs,
-    from_cosine_coeffs,
     is_admissible,
     nearest_admissible,
     theta_grid,
 )
 from .linalg import SolveReport, eig_dense, gmres
 from .operators import (
-    LogQuadVector,
     OperatorMatrix,
-    apply_C,
-    apply_J0,
-    apply_N,
-    apply_N0,
-    apply_NS,
-    apply_S0,
-    apply_S0_inverse,
-    apply_S0tau,
-    apply_S0tau_inverse,
     assemble_dense,
     build_log_quad,
     build_S_matrix,
     dense_operator,
+    n_apply,
+    n_frame,
     s0_eigenvalue,
 )
 from .scattering import (
@@ -43,12 +29,11 @@ from .scattering import (
     near_field,
     recover_mu,
     recover_nu,
-    rhs_te,
-    rhs_tm,
     solve,
+    te_data,
+    tm_data,
 )
 from .specfun import (
-    KernelSplit,
     bessel_j0,
     bessel_j1,
     bessel_y0,

@@ -143,7 +143,7 @@ def cmd_solve(args) -> int:
                 for a, v in zip(ff.angles_deg, ff.values)))
     _write_csv(out / "density.csv", "theta,re,im",
                ([_fmt(t), _fmt(v.real), _fmt(v.imag)]
-                for t, v in zip(grid.nodes, sol.density.values)))
+                for t, v in zip(grid.nodes, sol.density)))
     lines = [
         f"formulation: {formulation}",
         f"n: {grid.n}",

@@ -216,6 +216,6 @@ def wavenumber_for_ratio(arc: Arc, l_over_lambda: float) -> float:
     k = 2 pi (L / lambda) / L, so that arc.length / (2 pi / k) equals
     ``l_over_lambda``.
     """
-    if l_over_lambda <= 0.0:
-        raise ValueError("L/lambda ratio must be positive")
+    if not (np.isfinite(l_over_lambda) and l_over_lambda > 0.0):
+        raise ValueError("L/lambda ratio must be finite and positive")
     return 2.0 * np.pi * l_over_lambda / arc.length

@@ -10,28 +10,28 @@ the exact degree-(N-1) representation
     c_m = (2/N) sum_j v(theta_j) cos(m theta_j),
 
 computed here via fast DCT-II / DCT-III pairs.  On top of the
-expansions sit three spectral operators:
+expansions sit two spectral operators:
 
     T0[v] = d/dtheta (v sin theta)      (sine expansion, termwise derivative)
-    T0_tau[v] = T0[v] / tau(cos theta)
     D0[v] = (1/sin theta) dv/dtheta = -d/dx v(x)|_{x=cos theta}
                                         (Chebyshev differentiation)
 
-All array-level helpers operate along the last axis, so a stack of
-densities (batch, N) transforms in one call.  T0 maps degree N-1 input
-onto cosine degree N; the top mode vanishes identically at the nodes,
-so resampling drops it (callers that need it keep coefficients instead,
-see ``t0_coeffs``).
+Every function here maps node values (plain arrays) to node values or
+coefficients, with no arc: the weighted T0_tau v = T0[v] / tau divides
+by the speed the node frame of ``operators.n_frame`` carries.  The
+helpers operate along the last axis, so a stack of densities (batch, N)
+transforms in one call.  T0 maps degree N-1 input onto cosine degree N;
+the top mode vanishes identically at the nodes, so resampling drops it
+(callers that need it keep coefficients instead, see ``t0_coeffs``).
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
-
-from .geometry import Arc, speed
 
 
 def is_admissible(n: int) -> bool:
@@ -64,6 +64,9 @@ class ThetaGrid:
     nodes: np.ndarray
 
     def __post_init__(self):
+        if isinstance(self.n, bool):
+            raise TypeError("grid size must be an integer, not bool")
+        operator.index(self.n)
         if not is_admissible(self.n):
             raise ValueError(
                 f"grid size {self.n} not admissible; need n >= 4 with prime factors in {{2, 3, 5}}")
@@ -73,19 +76,6 @@ def theta_grid(n: int) -> ThetaGrid:
     """Build the admissible N-point grid."""
     j = np.arange(n)
     return ThetaGrid(n=n, nodes=np.pi * (2.0 * j + 1.0) / (2.0 * n))
-
-
-@dataclass
-class DensityVector:
-    """Samples of an even 2 pi periodic density at the grid nodes."""
-
-    grid: ThetaGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=complex)
-        if self.values.shape != (self.grid.n,):
-            raise ValueError(f"expected {self.grid.n} samples, got shape {self.values.shape}")
 
 
 def coeffs_from_values(values: np.ndarray) -> np.ndarray:
@@ -166,36 +156,3 @@ def d0_values(values: np.ndarray) -> np.ndarray:
     out = np.zeros(values.shape, dtype=d.dtype)
     out[..., : d.shape[-1]] = d
     return values_from_coeffs(out)
-
-
-def node_speed(arc: Arc, grid: ThetaGrid) -> np.ndarray:
-    """tau(cos theta_j) at the grid nodes."""
-    return speed(arc, np.cos(grid.nodes))
-
-
-def cosine_coeffs(v: DensityVector) -> np.ndarray:
-    """Cosine coefficients of a density; inverse is ``from_cosine_coeffs``."""
-    return coeffs_from_values(v.values)
-
-
-def from_cosine_coeffs(grid: ThetaGrid, coeffs: np.ndarray) -> DensityVector:
-    """Density with the given cosine coefficients (length N)."""
-    coeffs = np.asarray(coeffs, dtype=complex)
-    if coeffs.shape != (grid.n,):
-        raise ValueError(f"expected {grid.n} coefficients, got shape {coeffs.shape}")
-    return DensityVector(grid, values_from_coeffs(coeffs))
-
-
-def apply_T0(v: DensityVector) -> DensityVector:
-    """d/dtheta (v sin theta), resampled at the nodes."""
-    return DensityVector(v.grid, t0_values(v.values))
-
-
-def apply_T0_tau(arc: Arc, v: DensityVector) -> DensityVector:
-    """T0 v divided pointwise by tau(cos theta)."""
-    return DensityVector(v.grid, t0_values(v.values) / node_speed(arc, v.grid))
-
-
-def apply_D0(v: DensityVector) -> DensityVector:
-    """(1/sin theta) dv/dtheta, via Chebyshev differentiation."""
-    return DensityVector(v.grid, d0_values(v.values))

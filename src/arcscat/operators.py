@@ -1,14 +1,18 @@
 """Discrete boundary-integral operators on the cosine-node grid.
 
-Three layers live here.
+Every action here maps node values (plain arrays) to node values.  The
+arc and k enter only through two objects a solve holds once per
+discretization: the node frame ``NFrame`` (points, tau, normals,
+k^2 sin^2 theta) and the Nystrom matrix S.  There are three groups.
 
 * Flat-arc zero-frequency operators, exact in coefficient space: the
   log-kernel single layer S0 (diagonal in the cosine basis with
-  eigenvalues ln2/2, 1/(2m)), its weighted variant S0_tau = S0 (tau .),
-  the hypersingular composition N0 = D0 S0 T0, the Calderon composition
-  J0 = N0 S0 realized through its upper-triangular cosine-basis action,
-  and the Cesaro-like operator C appearing in its explicit form.  These
-  serve as oracles and as the analytic preconditioner inverse.
+  eigenvalues ln2/2, 1/(2m)), the inverse of its weighted variant
+  S0_tau = S0 (tau .), the hypersingular composition N0 = D0 S0 T0, the
+  Calderon composition J0 = N0 S0 realized through its upper-triangular
+  cosine-basis action, and the Cesaro-like operator C appearing in its
+  explicit form.  These serve as oracles and as the analytic
+  preconditioner inverse.
 
 * The Nystrom matrix of the weighted single-layer operator S at
   wavenumber k > 0.  The log-singular factor is integrated by the
@@ -24,17 +28,14 @@ Three layers live here.
   above N = 2048 its J0/Y0 evaluation runs on a thread pool sized to
   the usable cores.
 
-* Matrix-free pipelines: the full hypersingular action
-  N v = Ng v + (1/tau) D0 S T0_tau v and the second-kind composition
-  NS v = N (S v), applied as dense matvecs interleaved with fast
-  transforms.  The smooth part Ng has the S kernel times
-  k^2 (n . n') sin^2 theta', so it is applied through S as
-  Ng v = k^2 sum_{c in x, y} n_c S(n_c sin^2 theta v) and never stored.
-  The three S products of N share one pass over S by cache-sized row
-  blocks, so N reads S from memory once and NS twice.  The node data
-  of the pipeline (tau, normals, k^2 sin^2 theta) is an ``NFrame``,
-  evaluated once per discretization.  Dense materializations exist for
-  spectrum studies.
+* The hypersingular action N v = Ng v + (1/tau) D0 S T0_tau v
+  (``n_apply``), applied as dense matvecs interleaved with fast
+  transforms; the second-kind composition is n_apply of S v.  The
+  smooth part Ng has the S kernel times k^2 (n . n') sin^2 theta', so
+  it is applied through S as Ng v = k^2 sum_{c in x, y} n_c S(n_c
+  sin^2 theta v) and never stored.  The three S products of N share one
+  pass over S by cache-sized row blocks, so N reads S from memory once
+  and NS twice.  Dense materializations exist for spectrum studies.
 """
 
 from __future__ import annotations
@@ -50,12 +51,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .geometry import Arc, eval_arc
 from .grids import (
-    DensityVector,
     ThetaGrid,
     coeffs_from_values,
     d0_coeffs,
     d0_values,
-    node_speed,
     parity_suffix_sums,
     t0_coeffs,
     t0_values,
@@ -76,27 +75,32 @@ ROW_BLOCK_BYTES = 2 << 20
 
 
 @dataclass(frozen=True)
-class LogQuadVector:
-    """Length-2N weight vector of the spectral log-kernel rule."""
-
-    r: np.ndarray
-
-
-@dataclass(frozen=True)
 class OperatorMatrix:
-    """Dense discretization of S or S0_tau with its provenance."""
+    """The Nystrom matrix S of one (arc, k, grid), with its provenance."""
 
-    kind: str
     n: int
     k: float
     arc: Arc
     entries: np.ndarray
 
-    def __post_init__(self):
-        if self.kind not in ("S", "S0tau"):
-            raise ValueError(f"unknown operator kind {self.kind!r}")
-        if self.k == 0.0 and self.kind != "S0tau":
-            raise ValueError("k = 0 is only meaningful for the S0tau matrix")
+
+@dataclass(frozen=True)
+class NFrame:
+    """Node data of one (arc, k, grid): the points (N x 2), the speed tau,
+    the unit normals (N x 2) and the Ng weight k^2 sin^2 theta."""
+
+    points: np.ndarray
+    tau: np.ndarray
+    normals: np.ndarray
+    ng_weight: np.ndarray
+
+
+def n_frame(arc: Arc, k: float, grid: ThetaGrid) -> NFrame:
+    """Evaluate the arc frame at the nodes once, for any number of N
+    applications, right-hand sides and field evaluations."""
+    points, _, normals, tau = eval_arc(arc, np.cos(grid.nodes))
+    return NFrame(points=points, tau=tau, normals=normals,
+                  ng_weight=(k * k) * np.sin(grid.nodes) ** 2)
 
 
 def s0_eigenvalue(m: int) -> float:
@@ -118,11 +122,13 @@ def s0_eigenvalues(n: int) -> np.ndarray:
 # Flat-arc zero-frequency actions (coefficient space, spectrally exact)
 # ---------------------------------------------------------------------------
 def s0_apply_values(values: np.ndarray) -> np.ndarray:
+    """Flat-arc zero-frequency single layer (diagonal in cosine modes)."""
     c = coeffs_from_values(values)
     return values_from_coeffs(c * s0_eigenvalues(values.shape[-1]))
 
 
 def s0_solve_values(values: np.ndarray) -> np.ndarray:
+    """Exact inverse of ``s0_apply_values`` (divide by the eigenvalues)."""
     c = coeffs_from_values(values)
     return values_from_coeffs(c / s0_eigenvalues(values.shape[-1]))
 
@@ -182,53 +188,16 @@ def c_apply_values(values: np.ndarray) -> np.ndarray:
     return values_from_coeffs(out)
 
 
-def s0tau_apply_values(arc: Arc, grid: ThetaGrid, values: np.ndarray) -> np.ndarray:
-    return s0_apply_values(values * node_speed(arc, grid))
-
-
-def s0tau_solve_values(arc: Arc, grid: ThetaGrid, values: np.ndarray) -> np.ndarray:
-    return s0_solve_values(values) / node_speed(arc, grid)
-
-
-def apply_S0(v: DensityVector) -> DensityVector:
-    """Flat-arc zero-frequency single layer (diagonal in cosine modes)."""
-    return DensityVector(v.grid, s0_apply_values(v.values))
-
-
-def apply_S0_inverse(v: DensityVector) -> DensityVector:
-    """Exact inverse of ``apply_S0`` (divide coefficients by eigenvalues)."""
-    return DensityVector(v.grid, s0_solve_values(v.values))
-
-
-def apply_N0(v: DensityVector) -> DensityVector:
-    """Flat-arc zero-frequency hypersingular operator D0 S0 T0."""
-    return DensityVector(v.grid, n0_apply_values(v.values))
-
-
-def apply_J0(v: DensityVector) -> DensityVector:
-    """Flat-arc zero-frequency Calderon composition N0 S0."""
-    return DensityVector(v.grid, j0_apply_values(v.values))
-
-
-def apply_C(v: DensityVector) -> DensityVector:
-    """The non-compact Cesaro-like component of the J0 decomposition."""
-    return DensityVector(v.grid, c_apply_values(v.values))
-
-
-def apply_S0tau(arc: Arc, v: DensityVector) -> DensityVector:
-    """Weighted flat-arc single layer S0 (tau .)."""
-    return DensityVector(v.grid, s0tau_apply_values(arc, v.grid, v.values))
-
-
-def apply_S0tau_inverse(arc: Arc, v: DensityVector) -> DensityVector:
-    """Exact inverse of the weighted flat-arc single layer."""
-    return DensityVector(v.grid, s0tau_solve_values(arc, v.grid, v.values))
+def s0tau_solve_values(frame: NFrame, values: np.ndarray) -> np.ndarray:
+    """Exact inverse of the weighted flat-arc single layer S0 (tau .),
+    with tau from the node frame."""
+    return s0_solve_values(values) / frame.tau
 
 
 # ---------------------------------------------------------------------------
 # Log-kernel quadrature and Nystrom matrices
 # ---------------------------------------------------------------------------
-def build_log_quad(grid: ThetaGrid) -> LogQuadVector:
+def build_log_quad(grid: ThetaGrid) -> np.ndarray:
     """FFT evaluation of r(l) = -sum_m (2 - delta_m0) lambda_m cos(m pi l / N),
     l = 0..2N-1, from which R_j(theta_n) = r(|n-j|) + r(n+j+1)."""
     n = grid.n
@@ -236,15 +205,14 @@ def build_log_quad(grid: ThetaGrid) -> LogQuadVector:
     lam = s0_eigenvalues(n)
     c[0] = lam[0]
     c[1:n] = 2.0 * lam[1:]
-    return LogQuadVector(r=-np.real(scipy.fft.fft(c)))
+    return -np.real(scipy.fft.fft(c))
 
 
-def log_quad_matrix(grid: ThetaGrid, lq: LogQuadVector | None = None) -> np.ndarray:
+def log_quad_matrix(grid: ThetaGrid) -> np.ndarray:
     """The N x N table R_j(theta_n)."""
-    if lq is None:
-        lq = build_log_quad(grid)
+    r = build_log_quad(grid)
     idx = np.arange(grid.n)
-    return lq.r[np.abs(idx[:, None] - idx[None, :])] + lq.r[idx[:, None] + idx[None, :] + 1]
+    return r[np.abs(idx[:, None] - idx[None, :])] + r[idx[:, None] + idx[None, :] + 1]
 
 
 def _kernel_panel(k, x, px, py, r, a2_diag, lo: int, hi: int, pool) -> np.ndarray:
@@ -297,12 +265,12 @@ def build_S_matrix(arc: Arc, k: float, grid: ThetaGrid) -> OperatorMatrix:
         raise ValueError("build_S_matrix requires a finite wavenumber")
     if k <= 0.0:
         raise ValueError("build_S_matrix requires k > 0; the flat-arc k = 0 "
-                         "operator is available analytically as apply_S0")
+                         "operator is available analytically as s0_apply_values")
     n = grid.n
     x = np.cos(grid.nodes)
     points, _, _, tau = eval_arc(arc, x)
     px, py = np.ascontiguousarray(points[:, 0]), np.ascontiguousarray(points[:, 1])
-    r = build_log_quad(grid).r
+    r = build_log_quad(grid)
     weight = (np.pi / n) * tau
     a2_diag = _a2_diagonal(k, tau)
 
@@ -318,42 +286,7 @@ def build_S_matrix(arc: Arc, k: float, grid: ThetaGrid) -> OperatorMatrix:
             np.multiply(kernel, weight[lo:], out=entries[lo:hi, lo:])
             np.multiply(kernel[:, hi - lo :].T, weight[lo:hi], out=entries[hi:, lo:hi])
             lo = hi
-    return OperatorMatrix(kind="S", n=n, k=k, arc=arc, entries=entries)
-
-
-def build_S0tau_matrix(arc: Arc, grid: ThetaGrid) -> OperatorMatrix:
-    """Dense weighted flat-arc single layer (k = 0), for spectrum studies."""
-    tau = node_speed(arc, grid)
-    entries = s0_apply_values(np.eye(grid.n) * tau[None, :]).T
-    return OperatorMatrix(kind="S0tau", n=grid.n, k=0.0, arc=arc, entries=entries)
-
-
-def _check_pipeline(arc: Arc, k: float, s_matrix: OperatorMatrix, n: int):
-    if s_matrix.kind != "S":
-        raise ValueError("apply_N expects an S matrix")
-    if s_matrix.n != n:
-        raise ValueError("matrix size does not match the density grid")
-    if s_matrix.k != k or s_matrix.arc is not arc:
-        raise ValueError("S was built for a different arc or wavenumber")
-
-
-@dataclass(frozen=True)
-class NFrame:
-    """Node data of one (arc, k, grid): the points (N x 2), the speed tau,
-    the unit normals (N x 2) and the Ng weight k^2 sin^2 theta."""
-
-    points: np.ndarray
-    tau: np.ndarray
-    normals: np.ndarray
-    ng_weight: np.ndarray
-
-
-def n_frame(arc: Arc, k: float, grid: ThetaGrid) -> NFrame:
-    """Evaluate the arc frame at the nodes once, for any number of N
-    applications, right-hand sides and field evaluations."""
-    points, _, normals, tau = eval_arc(arc, np.cos(grid.nodes))
-    return NFrame(points=points, tau=tau, normals=normals,
-                  ng_weight=(k * k) * np.sin(grid.nodes) ** 2)
+    return OperatorMatrix(n=n, k=k, arc=arc, entries=entries)
 
 
 def _s_products(s_entries: np.ndarray, vectors) -> np.ndarray:
@@ -392,65 +325,27 @@ def n_apply(frame: NFrame, s_entries: np.ndarray, values: np.ndarray) -> np.ndar
     return ng + pv
 
 
-def n_apply_values(arc: Arc, k: float, s_entries: np.ndarray, grid: ThetaGrid,
-                   values: np.ndarray) -> np.ndarray:
-    """``n_apply`` with the frame evaluated for this one application."""
-    return n_apply(n_frame(arc, k, grid), s_entries, values)
-
-
-def apply_N(arc: Arc, k: float, s_matrix: OperatorMatrix, v: DensityVector) -> DensityVector:
-    """Full weighted hypersingular action at wavenumber k."""
-    _check_pipeline(arc, k, s_matrix, v.grid.n)
-    return DensityVector(v.grid, n_apply_values(arc, k, s_matrix.entries, v.grid, v.values))
-
-
-def apply_NS(arc: Arc, k: float, s_matrix: OperatorMatrix, v: DensityVector) -> DensityVector:
-    """Second-kind composition: one S matvec, then the N pipeline."""
-    _check_pipeline(arc, k, s_matrix, v.grid.n)
-    u = s_matrix.entries @ v.values
-    return DensityVector(v.grid, n_apply_values(arc, k, s_matrix.entries, v.grid, u))
-
-
 # ---------------------------------------------------------------------------
 # Dense materializations
 # ---------------------------------------------------------------------------
 def assemble_dense(op, grid: ThetaGrid, cap: int = DENSE_CAP) -> np.ndarray:
-    """Materialize an operator action column by column.
-
-    ``op`` maps DensityVector to DensityVector; column j of the result is
-    op(e_j) where e_j is the j-th unit sample vector.
-    """
-    n = grid.n
-    if n > cap:
-        raise ValueError(f"dense assembly capped at {cap}, requested {n}")
-    out = np.empty((n, n), dtype=complex)
-    e = np.zeros(n, dtype=complex)
-    for j in range(n):
-        e[:] = 0.0
-        e[j] = 1.0
-        out[:, j] = op(DensityVector(grid, e)).values
-    return out
+    """Materialize a linear action on node values column by column:
+    column j of the result is op(e_j), e_j the j-th unit sample vector.
+    An action that transforms a stack of densities along the last axis
+    gives the same matrix in one call, as op(np.eye(N)).T."""
+    if grid.n > cap:
+        raise ValueError(f"dense assembly capped at {cap}, requested {grid.n}")
+    return np.column_stack([op(e) for e in np.eye(grid.n, dtype=complex)])
 
 
-def dense_t0tau(arc: Arc, grid: ThetaGrid) -> np.ndarray:
-    tau = node_speed(arc, grid)
-    return t0_values(np.eye(grid.n)).T / tau[:, None]
-
-
-def dense_d0(grid: ThetaGrid) -> np.ndarray:
-    return d0_values(np.eye(grid.n)).T
-
-
-def dense_n(arc: Arc, s_matrix: OperatorMatrix, grid: ThetaGrid) -> np.ndarray:
+def dense_n(frame: NFrame, s_matrix: OperatorMatrix, grid: ThetaGrid) -> np.ndarray:
     """Dense N = Ng + diag(1/tau) D0 S T0_tau, with Ng built entry by
     entry as k^2 (n_n . n_j) sin^2(theta_j) S(n, j)."""
-    k = s_matrix.k
-    normals = eval_arc(arc, np.cos(grid.nodes))[2]
+    k, eye = s_matrix.k, np.eye(grid.n)
     sin2 = np.sin(grid.nodes) ** 2
-    ng = (k * k) * (normals @ normals.T) * sin2[None, :] * s_matrix.entries
-    tau = node_speed(arc, grid)
-    pv = dense_d0(grid) @ s_matrix.entries @ dense_t0tau(arc, grid)
-    return ng + pv / tau[:, None]
+    ng = (k * k) * (frame.normals @ frame.normals.T) * sin2[None, :] * s_matrix.entries
+    pv = d0_values(eye).T @ s_matrix.entries @ (t0_values(eye) / frame.tau).T
+    return ng + pv / frame.tau[:, None]
 
 
 def dense_operator(name: str, arc: Arc, k: float, grid: ThetaGrid) -> np.ndarray:
@@ -460,18 +355,15 @@ def dense_operator(name: str, arc: Arc, k: float, grid: ThetaGrid) -> np.ndarray
     hypersingular), ``NS`` (second-kind composition) or ``S0invS``
     (single layer preconditioned by the inverse flat-arc operator).
     """
+    if name not in ("S", "N", "NS", "S0invS"):
+        raise ValueError(f"unknown operator name {name!r}; expected S, N, NS or S0invS")
     if grid.n > DENSE_CAP:
         raise ValueError(f"dense assembly capped at {DENSE_CAP}")
     s = build_S_matrix(arc, k, grid)
     if name == "S":
         return s.entries
+    frame = n_frame(arc, k, grid)
     if name == "S0invS":
-        tau = node_speed(arc, grid)
-        inv = s0_solve_values(np.eye(grid.n)).T / tau[:, None]
-        return s.entries @ inv
-    nd = dense_n(arc, s, grid)
-    if name == "N":
-        return nd
-    if name == "NS":
-        return nd @ s.entries
-    raise ValueError(f"unknown operator name {name!r}; expected S, N, NS or S0invS")
+        return s.entries @ s0tau_solve_values(frame, np.eye(grid.n)).T
+    nd = dense_n(frame, s, grid)
+    return nd if name == "N" else nd @ s.entries

@@ -19,6 +19,12 @@ single layer, nu = sin theta S psi or sin theta psi for the double
 layer), and far/near fields are quadratures of the layer representations
 with smooth even integrands, so the plain node rule is spectral.
 
+A solve evaluates the arc once per discretization: the right-hand side
+comes from its node frame (``te_data`` / ``tm_data`` of the frame's
+points and normals), and every ``Solution`` carries that frame and S,
+which its density recovery and field evaluations read.  Densities and
+data are plain arrays of node values.
+
 Far fields use the normalization
 
     TE:  u_inf(d_obs) = int_0^pi e^{-i k d_obs . r} phi tau dtheta
@@ -40,9 +46,8 @@ from typing import Optional
 import numpy as np
 import scipy.fft
 
-from .geometry import Arc, eval_arc
+from .geometry import Arc
 from .grids import (
-    DensityVector,
     ThetaGrid,
     coeffs_from_values,
     nearest_admissible,
@@ -94,56 +99,38 @@ class FarField:
 
 @dataclass
 class Solution:
-    """Solved periodic density with its provenance and solver report.
+    """Solved periodic density (node values) with its provenance and
+    solver report.
 
-    ``s_matrix`` is the read-only S of the solve's discretization, shared
-    with every other solve on the same (arc, k, grid); ``mat_seconds`` is
-    the time spent assembling it, 0.0 when the solve reused it.
-    ``frame`` is the node frame of the same discretization, which the
-    field evaluations read; a Solution made without one evaluates the
-    frame when a field needs it.
+    ``s_matrix`` and ``frame`` are the read-only S and the node frame of
+    the solve's discretization, shared with every other solve on the same
+    (arc, k, grid); the field evaluations read the frame.  ``mat_seconds``
+    is the time spent assembling S, 0.0 when the solve reused it.
     """
 
     formulation: str
-    density: DensityVector
+    density: np.ndarray
     report: SolveReport
     arc: Arc
     k: float
     grid: ThetaGrid
     incidence: Incidence
-    s_matrix: Optional[OperatorMatrix] = field(default=None, repr=False)
+    s_matrix: OperatorMatrix = field(repr=False)
+    frame: NFrame = field(repr=False)
     mat_seconds: float = 0.0
-    frame: Optional[NFrame] = field(default=None, repr=False)
 
 
-def _node_frame(arc: Arc, grid: ThetaGrid):
-    return eval_arc(arc, np.cos(grid.nodes))
-
-
-def _frame(sol: Solution) -> NFrame:
-    return sol.frame if sol.frame is not None else n_frame(sol.arc, sol.k, sol.grid)
-
-
-def _te_data(points: np.ndarray, inc: Incidence) -> np.ndarray:
+def te_data(points: np.ndarray, inc: Incidence) -> np.ndarray:
+    """Dirichlet data f = -u_inc at the given points (the frame's nodes)."""
     phase = points @ inc.direction
     return -np.exp(1j * inc.k * phase)
 
 
-def _tm_data(points: np.ndarray, normals: np.ndarray, inc: Incidence) -> np.ndarray:
+def tm_data(points: np.ndarray, normals: np.ndarray, inc: Incidence) -> np.ndarray:
+    """Neumann data g = -du_inc/dn at the given points and unit normals."""
     phase = points @ inc.direction
     dn = normals @ inc.direction
     return -1j * inc.k * dn * np.exp(1j * inc.k * phase)
-
-
-def rhs_te(arc: Arc, inc: Incidence, grid: ThetaGrid) -> DensityVector:
-    """Dirichlet data f = -u_inc at the nodes."""
-    return DensityVector(grid, _te_data(_node_frame(arc, grid)[0], inc))
-
-
-def rhs_tm(arc: Arc, inc: Incidence, grid: ThetaGrid) -> DensityVector:
-    """Neumann data g = -du_inc/dn at the nodes."""
-    points, _, normals, _ = _node_frame(arc, grid)
-    return DensityVector(grid, _tm_data(points, normals, inc))
 
 
 @dataclass(frozen=True)
@@ -231,12 +218,12 @@ def solve(formulation: str, arc: Arc, inc: Incidence, grid: ThetaGrid,
         return n_action(s.entries @ u)
 
     def atkinson_action(u):
-        return s.entries @ s0tau_solve_values(arc, grid, u)
+        return s.entries @ s0tau_solve_values(frame, u)
 
     if formulation in TE_FORMULATIONS:
-        b = _te_data(frame.points, inc)
+        b = te_data(frame.points, inc)
     else:
-        b = _tm_data(frame.points, frame.normals, inc)
+        b = tm_data(frame.points, frame.normals, inc)
     if formulation == "TE_S":
         action = s_action
     elif formulation == "TE_NS":
@@ -253,14 +240,14 @@ def solve(formulation: str, arc: Arc, inc: Incidence, grid: ThetaGrid,
         # incidence): the density is exactly zero
         report = SolveReport(iterations=0, residuals=[], converged=True,
                              elapsed=0.0, n=grid.n, final_residual=0.0)
-        return Solution(formulation=formulation, density=DensityVector(grid, b),
-                        report=report, arc=arc, k=k, grid=grid, incidence=inc,
-                        s_matrix=s, mat_seconds=mat_seconds, frame=frame)
+        return Solution(formulation=formulation, density=b, report=report, arc=arc, k=k,
+                        grid=grid, incidence=inc, s_matrix=s, frame=frame,
+                        mat_seconds=mat_seconds)
 
     x, report = gmres(action, b, tol=tol, maxit=maxit)
-    return Solution(formulation=formulation, density=DensityVector(grid, x),
-                    report=report, arc=arc, k=k, grid=grid, incidence=inc,
-                    s_matrix=s, mat_seconds=mat_seconds, frame=frame)
+    return Solution(formulation=formulation, density=x, report=report, arc=arc, k=k,
+                    grid=grid, incidence=inc, s_matrix=s, frame=frame,
+                    mat_seconds=mat_seconds)
 
 
 def te_layer_density(sol: Solution) -> np.ndarray:
@@ -268,8 +255,8 @@ def te_layer_density(sol: Solution) -> np.ndarray:
     if sol.formulation not in TE_FORMULATIONS:
         raise ValueError(f"{sol.formulation} is not a TE solution")
     if sol.formulation == "TE_ATKINSON":
-        return s0tau_solve_values(sol.arc, sol.grid, sol.density.values)
-    return sol.density.values
+        return s0tau_solve_values(sol.frame, sol.density)
+    return sol.density
 
 
 def tm_layer_density(sol: Solution) -> np.ndarray:
@@ -277,22 +264,20 @@ def tm_layer_density(sol: Solution) -> np.ndarray:
     if sol.formulation not in TM_FORMULATIONS:
         raise ValueError(f"{sol.formulation} is not a TM solution")
     if sol.formulation == "TM_NS":
-        return sol.s_matrix.entries @ sol.density.values
-    return sol.density.values
+        return sol.s_matrix.entries @ sol.density
+    return sol.density
 
 
-def recover_mu(sol: Solution) -> DensityVector:
+def recover_mu(sol: Solution) -> np.ndarray:
     """Single-layer density mu = phi / sin theta at the nodes (finite:
     the nodes are interior, and phi tends to a nonzero edge limit)."""
-    phi = te_layer_density(sol)
-    return DensityVector(sol.grid, phi / np.sin(sol.grid.nodes))
+    return te_layer_density(sol) / np.sin(sol.grid.nodes)
 
 
-def recover_nu(sol: Solution) -> DensityVector:
+def recover_nu(sol: Solution) -> np.ndarray:
     """Double-layer density nu = sin theta * psi at the nodes; vanishes
     at the edges like the square-root distance weight."""
-    psi = tm_layer_density(sol)
-    return DensityVector(sol.grid, np.sin(sol.grid.nodes) * psi)
+    return np.sin(sol.grid.nodes) * tm_layer_density(sol)
 
 
 def _directions(m: int):
@@ -365,7 +350,7 @@ def far_field(sol: Solution, m: int) -> FarField:
     if m <= 0:
         raise ValueError("observation count must be positive")
     grid, k = sol.grid, sol.k
-    frame = _frame(sol)
+    frame = sol.frame
     points = frame.points
     if sol.formulation in TE_FORMULATIONS:
         cols = (te_layer_density(sol) * frame.tau)[:, None]
@@ -399,11 +384,6 @@ def far_field_error(candidate: FarField, reference: FarField) -> float:
 
 def _max_spacing(points: np.ndarray) -> float:
     return float(np.max(np.hypot(np.diff(points[:, 0]), np.diff(points[:, 1]))))
-
-
-def node_spacing(arc: Arc, grid: ThetaGrid) -> float:
-    """Maximum physical distance between neighboring quadrature nodes."""
-    return _max_spacing(_node_frame(arc, grid)[0])
 
 
 # Kernel entries per point chunk of near_field: a chunk's distance, kernel
@@ -556,7 +536,7 @@ def near_field(sol: Solution, points: np.ndarray,
     lone = pts.ndim == 1
     pts = pts.reshape(-1, 2)
     grid, k = sol.grid, sol.k
-    frame = _frame(sol)
+    frame = sol.frame
     if mask_distance is None:
         mask_distance = 2.0 * _max_spacing(frame.points)
     elif not (np.isfinite(mask_distance) and mask_distance >= 0.0):

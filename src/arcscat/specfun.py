@@ -28,8 +28,6 @@ and are vectorized over numpy arrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy import special
 
@@ -102,14 +100,6 @@ def hankel1_1(x):
     return _dispatch(x, "hankel1_1", True, _hankel(special.j1, special.y1), complex)
 
 
-@dataclass(frozen=True)
-class KernelSplit:
-    """Values of the smooth kernel factors at one source/target pair."""
-
-    a1: complex
-    a2: complex
-
-
 def _a1a2_offdiag(k, dist, log_dcos, pool=None):
     """A1 (real) and A2 (complex) from precomputed distances R and
     ln|cos t - cos t'|.
@@ -145,10 +135,10 @@ def _a2_diagonal(k, tau):
     return 0.25j - (EULER_GAMMA + np.log(0.5 * k * tau)) / (2.0 * np.pi)
 
 
-def kernel_split(k: float, arc: Arc, theta, theta_p) -> KernelSplit:
+def kernel_split(k: float, arc: Arc, theta, theta_p):
     """Split the Helmholtz kernel into log-singular and smooth factors.
 
-    Returns ``KernelSplit(a1, a2)`` such that for theta != theta_p
+    Returns the smooth factors ``(a1, a2)`` such that for theta != theta_p
 
         a1 * ln|cos theta - cos theta'| + a2
             = (i/4) H_0^1(k |r(cos theta) - r(cos theta')|),
@@ -178,5 +168,5 @@ def kernel_split(k: float, arc: Arc, theta, theta_p) -> KernelSplit:
         a1 = np.where(diag, -1.0 / (2.0 * np.pi), a1)
         a2 = np.where(diag, _a2_diagonal(k, speed(arc, x)), a2)
     if np.ndim(a1) == 0:
-        return KernelSplit(complex(a1), complex(a2))
-    return KernelSplit(a1.astype(complex), a2)
+        return complex(a1), complex(a2)
+    return a1.astype(complex), a2

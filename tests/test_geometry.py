@@ -91,6 +91,12 @@ def test_wavenumber_for_ratio():
         wavenumber_for_ratio(strip, 0.0)
 
 
+@pytest.mark.parametrize("ratio", [math.nan, math.inf])
+def test_wavenumber_for_ratio_rejects_non_finite(ratio):
+    with pytest.raises(ValueError, match="finite and positive"):
+        wavenumber_for_ratio(make_arc("strip"), ratio)
+
+
 @pytest.mark.parametrize("kind,params", ALL_KINDS)
 def test_speed_smooth_on_cosine_grid(kind, params):
     # second differences of tau(cos theta) stay bounded under refinement

@@ -7,9 +7,9 @@ import pytest
 from arcscat.geometry import make_arc, wavenumber_for_ratio
 from arcscat.grids import theta_grid
 from arcscat.linalg import GmresError, eig_dense, gmres
-from arcscat.operators import (apply_J0, assemble_dense, apply_S0, dense_operator,
-                               s0_eigenvalues)
-from arcscat.scattering import Incidence, rhs_tm
+from arcscat.operators import (assemble_dense, dense_operator, j0_apply_values, n_frame,
+                               s0_apply_values, s0_eigenvalues)
+from arcscat.scattering import Incidence, tm_data
 
 
 def test_gmres_identity_one_iteration():
@@ -85,7 +85,7 @@ def test_gmres_rejects_maxit_below_one(maxit):
 def test_gmres_on_second_kind_operator_converges_fast():
     # eigenvalues clustered near -1/4 give rapid Krylov convergence
     g = theta_grid(256)
-    j0 = assemble_dense(apply_J0, g)
+    j0 = assemble_dense(j0_apply_values, g)
     rng = np.random.default_rng(5)
     b = rng.standard_normal(256) + 1j * rng.standard_normal(256)
     _, rep = gmres(lambda u: j0 @ u, b, tol=1e-12, maxit=100)
@@ -152,7 +152,8 @@ def test_gmres_cgs2_matches_mgs_on_long_run():
     k = wavenumber_for_ratio(arc, 25.0)
     g = theta_grid(200)
     a = dense_operator("N", arc, k, g)
-    b = rhs_tm(arc, Incidence(90.0, k), g).values
+    frame = n_frame(arc, k, g)
+    b = tm_data(frame.points, frame.normals, Incidence(90.0, k))
     tol = 1e-10
     _, rep = gmres(lambda u: a @ u, b, tol=tol, maxit=1000)
     ref = mgs_gmres_residuals(lambda u: a @ u, b, tol=tol, maxit=1000)
@@ -172,7 +173,7 @@ def test_eig_upper_triangular():
 
 def test_eig_s0_matrix():
     g = theta_grid(16)
-    lam = np.sort(eig_dense(assemble_dense(apply_S0, g)).real)
+    lam = np.sort(eig_dense(assemble_dense(s0_apply_values, g)).real)
     assert np.max(np.abs(lam - np.sort(s0_eigenvalues(16)))) < 1e-10
 
 

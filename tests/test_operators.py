@@ -20,11 +20,11 @@ import pytest
 from scipy import special
 from scipy.integrate import quad
 
+import arcscat.operators as operators
 import arcscat.specfun as specfun
 
 from arcscat.geometry import eval_arc, make_arc, speed, wavenumber_for_ratio
 from arcscat.grids import (
-    DensityVector,
     coeffs_from_values,
     d0_values,
     t0_values,
@@ -34,38 +34,34 @@ from arcscat.grids import (
 from arcscat.linalg import eig_dense
 from arcscat.operators import (
     _n_terms,
-    apply_C,
-    apply_J0,
-    apply_N,
-    apply_N0,
-    apply_NS,
-    apply_S0,
-    apply_S0_inverse,
-    apply_S0tau,
-    apply_S0tau_inverse,
     assemble_dense,
     build_log_quad,
     build_S_matrix,
-    build_S0tau_matrix,
+    c_apply_values,
     dense_n,
     dense_operator,
+    j0_apply_values,
     log_quad_matrix,
+    n0_apply_values,
+    n_apply,
     n_frame,
-    n_apply_values,
+    s0_apply_values,
     s0_eigenvalue,
     s0_eigenvalues,
+    s0_solve_values,
+    s0tau_solve_values,
 )
-from arcscat.scattering import Incidence, rhs_tm, solve
+from arcscat.scattering import Incidence, solve, tm_data
 from arcscat.specfun import _a2_diagonal
 
 
-def dv(grid, values):
-    return DensityVector(grid, np.asarray(values, dtype=complex))
+def dv(values):
+    return np.asarray(values, dtype=complex)
 
 
 def rand_dv(grid, seed=0):
     rng = np.random.default_rng(seed)
-    return dv(grid, rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n))
+    return dv(rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n))
 
 
 def same_bits(a, b):
@@ -80,7 +76,7 @@ def reference_s_entries(arc, k, grid):
     x = np.cos(grid.nodes)
     points, _, _, tau = eval_arc(arc, x)
     px, py = np.ascontiguousarray(points[:, 0]), np.ascontiguousarray(points[:, 1])
-    r = build_log_quad(grid).r
+    r = build_log_quad(grid)
     idx = np.arange(n)
     weight = (np.pi / n) * tau
     a2_diag = _a2_diagonal(k, tau)
@@ -130,32 +126,32 @@ def test_s0_eigenvalue_values():
 
 def test_s0_diagonal_action():
     g = theta_grid(32)
-    out = apply_S0(dv(g, np.ones(32)))
-    assert np.max(np.abs(out.values - 0.5 * math.log(2.0))) < 1e-14
-    out = apply_S0(dv(g, np.cos(5 * g.nodes)))
-    assert np.max(np.abs(out.values - 0.1 * np.cos(5 * g.nodes))) < 1e-14
+    out = s0_apply_values(dv(np.ones(32)))
+    assert np.max(np.abs(out - 0.5 * math.log(2.0))) < 1e-14
+    out = s0_apply_values(dv(np.cos(5 * g.nodes)))
+    assert np.max(np.abs(out - 0.1 * np.cos(5 * g.nodes))) < 1e-14
 
 
 def test_s0_matches_log_quadrature_rule():
     g = theta_grid(32)
     v = rand_dv(g, 1)
-    rule = -(0.5 / np.pi) * (np.pi / g.n) * (log_quad_matrix(g) @ v.values)
-    assert np.max(np.abs(apply_S0(v).values - rule)) < 1e-12
+    rule = -(0.5 / np.pi) * (np.pi / g.n) * (log_quad_matrix(g) @ v)
+    assert np.max(np.abs(s0_apply_values(v) - rule)) < 1e-12
 
 
 def test_j0_constant_mode():
     g = theta_grid(16)
-    out = apply_J0(dv(g, np.ones(16)))
-    assert np.max(np.abs(out.values + 0.25 * math.log(2.0))) < 1e-14
+    out = j0_apply_values(dv(np.ones(16)))
+    assert np.max(np.abs(out + 0.25 * math.log(2.0))) < 1e-14
 
 
 @pytest.mark.parametrize("n", range(1, 32))
 def test_j0_analytic_action(n):
     g = theta_grid(32)
     th = g.nodes
-    out = apply_J0(dv(g, np.cos(n * th)))
+    out = j0_apply_values(dv(np.cos(n * th)))
     expect = -np.cos(th) * np.sin(n * th) / (4 * n * np.sin(th)) - np.cos(n * th) / 4
-    assert np.max(np.abs(out.values - expect)) < 1e-13
+    assert np.max(np.abs(out - expect)) < 1e-13
 
 
 def test_j0_triangular_diagonal():
@@ -166,7 +162,7 @@ def test_j0_triangular_diagonal():
     for j in range(32):
         e = np.zeros(32)
         e[j] = 1.0
-        mat[:, j] = coeffs_from_values(apply_J0(dv(g, values_from_coeffs(e + 0j))).values)
+        mat[:, j] = coeffs_from_values(j0_apply_values(values_from_coeffs(e + 0j)))
     lower = np.tril(mat, -1)
     assert np.max(np.abs(lower)) < 1e-14
     diag = np.real(np.diag(mat))
@@ -177,31 +173,31 @@ def test_j0_triangular_diagonal():
 def test_j0_equals_n0_s0_composition():
     g = theta_grid(32)
     v = rand_dv(g, 2)
-    lhs = apply_J0(v).values
-    rhs = apply_N0(apply_S0(v)).values
+    lhs = j0_apply_values(v)
+    rhs = n0_apply_values(s0_apply_values(v))
     assert np.max(np.abs(lhs - rhs)) < 1e-11
 
 
 def test_c_operator_basis_action():
     g = theta_grid(32)
     th = g.nodes
-    assert np.max(np.abs(apply_C(dv(g, np.ones(32))).values)) < 1e-15
-    assert np.max(np.abs(apply_C(dv(g, np.cos(th))).values - 1.0)) < 1e-14
+    assert np.max(np.abs(c_apply_values(dv(np.ones(32))))) < 1e-15
+    assert np.max(np.abs(c_apply_values(dv(np.cos(th))) - 1.0)) < 1e-14
     for n in range(2, 32):
-        out = apply_C(dv(g, np.cos(n * th)))
-        assert np.max(np.abs(out.values - np.sin(n * th) / (n * np.sin(th)))) < 1e-12
+        out = c_apply_values(dv(np.cos(n * th)))
+        assert np.max(np.abs(out - np.sin(n * th) / (n * np.sin(th)))) < 1e-12
 
 
 def test_c_operator_cesaro_integral_form():
     # C v = (theta(pi-theta)/(pi sin theta)) [ mean_0^theta v - mean_theta^pi v ]
     g = theta_grid(32)
     v = rand_dv(g, 3)
-    coeffs = coeffs_from_values(v.values)
+    coeffs = coeffs_from_values(v)
 
     def vfun(t):
         return np.real(coeffs[0]) + sum(np.real(coeffs[m]) * math.cos(m * t) for m in range(1, 32))
 
-    out = apply_C(dv(g, np.real(v.values))).values
+    out = c_apply_values(dv(np.real(v)))
     for idx in (5, 13, 20, 28):
         th = g.nodes[idx]
         left = quad(vfun, 0.0, th, epsabs=1e-12, limit=200)[0] / th
@@ -215,36 +211,38 @@ def test_jfact_identity():
     g = theta_grid(48)
     v = rand_dv(g, 4)
     th = g.nodes
-    integral = np.pi * coeffs_from_values(v.values)[0]
-    expect = (-0.25 * v.values - 0.25 * np.cos(th) * apply_C(v).values
+    integral = np.pi * coeffs_from_values(v)[0]
+    expect = (-0.25 * v - 0.25 * np.cos(th) * c_apply_values(v)
               + (1.0 - math.log(2.0)) / (4.0 * np.pi) * integral)
-    assert np.max(np.abs(apply_J0(v).values - expect)) < 1e-13
+    assert np.max(np.abs(j0_apply_values(v) - expect)) < 1e-13
 
 
 def test_s0tau_inverse_strip_constant():
     g = theta_grid(16)
     arc = make_arc("strip")
-    out = apply_S0tau_inverse(arc, dv(g, np.ones(16)))
-    assert np.max(np.abs(out.values - 2.0 / math.log(2.0))) < 1e-13
+    out = s0tau_solve_values(n_frame(arc, 1.0, g), dv(np.ones(16)))
+    assert np.max(np.abs(out - 2.0 / math.log(2.0))) < 1e-13
 
 
 def test_s0tau_round_trip():
     g = theta_grid(32)
     arc = make_arc("spiral")
+    frame = n_frame(arc, 1.0, g)
     v = rand_dv(g, 5)
-    back = apply_S0tau(arc, apply_S0tau_inverse(arc, v))
-    assert np.max(np.abs(back.values - v.values)) < 1e-12
-    back2 = apply_S0_inverse(apply_S0(v))
-    assert np.max(np.abs(back2.values - v.values)) < 1e-12
+    back = s0_apply_values(s0tau_solve_values(frame, v) * frame.tau)
+    assert np.max(np.abs(back - v)) < 1e-12
+    back2 = s0_solve_values(s0_apply_values(v))
+    assert np.max(np.abs(back2 - v)) < 1e-12
 
 
 def test_s0tau_matrix_matches_action():
+    # the dense weighted flat-arc single layer from one batched call
     g = theta_grid(16)
     arc = make_arc("spiral")
-    m = build_S0tau_matrix(arc, g)
-    assert m.kind == "S0tau" and m.k == 0.0
+    tau = n_frame(arc, 1.0, g).tau
+    m = s0_apply_values(np.eye(g.n) * tau[None, :]).T
     v = rand_dv(g, 6)
-    assert np.max(np.abs(m.entries @ v.values - apply_S0tau(arc, v).values)) < 1e-13
+    assert np.max(np.abs(m @ v - s0_apply_values(v * tau))) < 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -258,21 +256,21 @@ def test_log_quad_vector_vs_brute_force(n):
         -sum((2.0 if m else 1.0) * lam[m] * math.cos(m * np.pi * l / n) for m in range(n))
         for l in range(2 * n)
     ])
-    assert np.max(np.abs(build_log_quad(g).r - direct)) < 1e-12
+    assert np.max(np.abs(build_log_quad(g) - direct)) < 1e-12
 
 
 def test_log_quad_smallest_grid_constant_term():
     # r(0) = -(lambda_0 + 2 sum_{m>0} lambda_m)
     g = theta_grid(4)
     lam = s0_eigenvalues(4)
-    assert abs(build_log_quad(g).r[0] + lam[0] + 2 * lam[1:].sum()) < 1e-14
+    assert abs(build_log_quad(g)[0] + lam[0] + 2 * lam[1:].sum()) < 1e-14
 
 
 def test_log_quad_matrix_split_identity():
     g = theta_grid(24)
-    lq = build_log_quad(g)
+    r = build_log_quad(g)
     idx = np.arange(24)
-    rebuilt = lq.r[np.abs(idx[:, None] - idx[None, :])] + lq.r[idx[:, None] + idx[None, :] + 1]
+    rebuilt = r[np.abs(idx[:, None] - idx[None, :])] + r[idx[:, None] + idx[None, :] + 1]
     lam = s0_eigenvalues(24)
     th = g.nodes
     direct = np.zeros((24, 24))
@@ -308,8 +306,8 @@ def single_layer_oracle(arc, k, theta_n, dens):
     from arcscat.specfun import kernel_split
 
     def f(tp):
-        ks = kernel_split(k, arc, theta_n, tp)
-        g = ks.a1 * math.log(abs(math.cos(theta_n) - math.cos(tp))) + ks.a2
+        a1, a2 = kernel_split(k, arc, theta_n, tp)
+        g = a1 * math.log(abs(math.cos(theta_n) - math.cos(tp))) + a2
         return g * dens(tp) * speed(arc, math.cos(tp))
 
     return quad_complex(f, theta_n)
@@ -321,8 +319,8 @@ def smooth_hypersingular_oracle(arc, k, theta_n, dens):
     nrm_n = eval_arc(arc, math.cos(theta_n))[2]
 
     def f(tp):
-        ks = kernel_split(k, arc, theta_n, tp)
-        g = ks.a1 * math.log(abs(math.cos(theta_n) - math.cos(tp))) + ks.a2
+        a1, a2 = kernel_split(k, arc, theta_n, tp)
+        g = a1 * math.log(abs(math.cos(theta_n) - math.cos(tp))) + a2
         nrm_p = eval_arc(arc, math.cos(tp))[2]
         return (k * k * g * dens(tp) * speed(arc, math.cos(tp))
                 * math.sin(tp) ** 2 * float(nrm_n @ nrm_p))
@@ -493,7 +491,7 @@ def test_ng_strip_entrywise_relation():
     k = np.pi
     g = theta_grid(32)
     s = build_S_matrix(arc, k, g)
-    v = rand_dv(g, 4).values
+    v = rand_dv(g, 4)
     got = _n_terms(n_frame(arc, k, g), s.entries, v)[0]
     expect = s.entries @ (k * k * np.sin(g.nodes) ** 2 * v)
     assert np.max(np.abs(got - expect)) < 1e-13 * np.max(np.abs(expect))
@@ -519,11 +517,12 @@ def test_apply_n_zero_frequency_factorization():
     # it is invisible to a nodal matrix)
     g = theta_grid(64)
     arc = make_arc("strip")
-    s0 = assemble_dense(apply_S0, g)
+    s0 = assemble_dense(s0_apply_values, g)
+    frame = n_frame(arc, 0.0, g)
     for n in range(63):
-        e = dv(g, np.cos(n * g.nodes))
-        lhs = n_apply_values(arc, 0.0, s0, g, e.values)
-        rhs = apply_N0(e).values
+        e = dv(np.cos(n * g.nodes))
+        lhs = n_apply(frame, s0, e)
+        rhs = n0_apply_values(e)
         assert np.max(np.abs(lhs - rhs)) < 1e-11
 
 
@@ -536,23 +535,23 @@ def test_n_stage_bitwise_equals_separate_products(n):
     k = wavenumber_for_ratio(arc, n / 8.0)
     g = theta_grid(n)
     s = build_S_matrix(arc, k, g).entries
-    v = rand_dv(g, 12).values
+    v = rand_dv(g, 12)
     _, _, normals, tau = eval_arc(arc, np.cos(g.nodes))
     w = (k * k) * np.sin(g.nodes) ** 2 * v
     expect = (sum(n_c * (s @ (n_c * w)) for n_c in normals.T)
               + d0_values(s @ (t0_values(v) / tau)) / tau)
-    assert same_bits(n_apply_values(arc, k, s, g, v), expect)
+    assert same_bits(n_apply(n_frame(arc, k, g), s, v), expect)
 
 
 def test_apply_n_linearity():
     arc = make_arc("spiral")
     k = 3.0
     g = theta_grid(48)
-    s = build_S_matrix(arc, k, g)
+    s, frame = build_S_matrix(arc, k, g).entries, n_frame(arc, k, g)
     u, v = rand_dv(g, 7), rand_dv(g, 8)
     a, b = 0.3 + 1.1j, -2.0 + 0.4j
-    lhs = apply_N(arc, k, s, dv(g, a * u.values + b * v.values)).values
-    rhs = a * apply_N(arc, k, s, u).values + b * apply_N(arc, k, s, v).values
+    lhs = n_apply(frame, s, a * u + b * v)
+    rhs = a * n_apply(frame, s, u) + b * n_apply(frame, s, v)
     assert np.max(np.abs(lhs - rhs)) < 1e-12 * np.max(np.abs(rhs))
 
 
@@ -560,22 +559,16 @@ def test_apply_ns_linearity():
     arc = make_arc("strip")
     k = 2.0
     g = theta_grid(32)
-    s = build_S_matrix(arc, k, g)
+    s, frame = build_S_matrix(arc, k, g).entries, n_frame(arc, k, g)
     u, v = rand_dv(g, 9), rand_dv(g, 10)
     a, b = 1.7 - 0.3j, 0.2 + 0.9j
-    lhs = apply_NS(arc, k, s, dv(g, a * u.values + b * v.values)).values
-    rhs = a * apply_NS(arc, k, s, u).values + b * apply_NS(arc, k, s, v).values
+
+    def ns(x):
+        return n_apply(frame, s, s @ x)
+
+    lhs = ns(a * u + b * v)
+    rhs = a * ns(u) + b * ns(v)
     assert np.max(np.abs(lhs - rhs)) < 1e-12 * np.max(np.abs(rhs))
-
-
-def test_apply_n_mismatch_rejected():
-    arc = make_arc("strip")
-    g = theta_grid(16)
-    s = build_S_matrix(arc, 1.0, g)
-    with pytest.raises(ValueError):
-        apply_N(arc, 2.0, s, rand_dv(g))
-    with pytest.raises(ValueError):
-        apply_N(arc, 1.0, build_S0tau_matrix(arc, g), rand_dv(g))
 
 
 def test_ns_small_k_clusters_at_quarter():
@@ -583,7 +576,7 @@ def test_ns_small_k_clusters_at_quarter():
     k = 0.1
     g = theta_grid(64)
     s = build_S_matrix(arc, k, g)
-    lam = eig_dense(dense_n(arc, s, g) @ s.entries)
+    lam = eig_dense(dense_n(n_frame(arc, k, g), s, g) @ s.entries)
     dist = np.sort(np.abs(lam + 0.25))
     bulk = dist[: int(0.8 * 64)]
     assert bulk.mean() < 0.05
@@ -595,7 +588,7 @@ def test_j0_possesses_log2_eigenvalue():
     for j in range(64):
         e = np.zeros(64)
         e[j] = 1.0
-        mat[:, j] = coeffs_from_values(apply_J0(dv(g, values_from_coeffs(e + 0j))).values)
+        mat[:, j] = coeffs_from_values(j0_apply_values(values_from_coeffs(e + 0j)))
     lam = eig_dense(mat)
     assert np.min(np.abs(lam + 0.25 * math.log(2.0))) < 1e-10
 
@@ -607,8 +600,10 @@ def test_tm_residual_end_to_end():
     inc = Incidence(angle_deg=90.0, k=k)
     tol = 1e-10
     sol = solve("TM_N", arc, inc, g, tol=tol)
-    resid = apply_N(arc, k, sol.s_matrix, sol.density).values - rhs_tm(arc, inc, g).values
-    rel = np.max(np.abs(resid)) / np.max(np.abs(rhs_tm(arc, inc, g).values))
+    frame = n_frame(arc, k, g)
+    rhs = tm_data(frame.points, frame.normals, inc)
+    resid = n_apply(frame, sol.s_matrix.entries, sol.density) - rhs
+    rel = np.max(np.abs(resid)) / np.max(np.abs(rhs))
     assert rel < 10 * tol
 
 
@@ -637,7 +632,7 @@ def test_assemble_s0_transform_conjugation():
     fwd = np.cos(np.outer(modes, th)) * (2.0 / n)    # coefficients from values
     fwd[0] *= 0.5
     expect = recon @ np.diag(s0_eigenvalues(n)) @ fwd
-    got = assemble_dense(apply_S0, g)
+    got = assemble_dense(s0_apply_values, g)
     assert np.max(np.abs(got - expect)) < 1e-13
 
 
@@ -648,11 +643,11 @@ def test_assemble_ns_associativity(kind):
     arc = make_arc(kind)
     k = 2.0
     g = theta_grid(32)
-    s = build_S_matrix(arc, k, g)
-    nd = dense_n(arc, s, g)
-    piped_n = assemble_dense(lambda v: apply_N(arc, k, s, v), g)
+    s, frame = build_S_matrix(arc, k, g), n_frame(arc, k, g)
+    nd = dense_n(frame, s, g)
+    piped_n = assemble_dense(lambda v: n_apply(frame, s.entries, v), g)
     assert np.max(np.abs(piped_n - nd)) < 1e-11
-    piped = assemble_dense(lambda v: apply_NS(arc, k, s, v), g)
+    piped = assemble_dense(lambda v: n_apply(frame, s.entries, s.entries @ v), g)
     product = nd @ s.entries
     assert np.max(np.abs(piped - product)) < 1e-11
 
@@ -660,8 +655,8 @@ def test_assemble_ns_associativity(kind):
 def test_discrete_calderon_identity():
     for n in (32, 64):
         g = theta_grid(n)
-        comp = assemble_dense(lambda v: apply_N0(apply_S0(v)), g)
-        j0 = assemble_dense(apply_J0, g)
+        comp = assemble_dense(lambda v: n0_apply_values(s0_apply_values(v)), g)
+        j0 = assemble_dense(j0_apply_values, g)
         assert np.max(np.abs(comp - j0).sum(axis=1)) < 1e-10
 
 
@@ -717,3 +712,9 @@ def test_dense_operator_names():
         assert dense_operator(name, arc, 1.0, g).shape == (16, 16)
     with pytest.raises(ValueError):
         dense_operator("Q", arc, 1.0, g)
+
+
+def test_dense_operator_rejects_an_unknown_name_before_building_s(monkeypatch):
+    monkeypatch.setattr(operators, "build_S_matrix", lambda *args: pytest.fail("S was built"))
+    with pytest.raises(ValueError, match="unknown operator name"):
+        dense_operator("Q", make_arc("strip"), 1.0, theta_grid(16))

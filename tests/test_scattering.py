@@ -12,12 +12,14 @@ import weakref
 import numpy as np
 import pytest
 
+import arcscat
 import arcscat.operators as operators
 import arcscat.scattering as scattering
 import arcscat.specfun as specfun
 from arcscat.geometry import eval_arc, make_arc, wavenumber_for_ratio
-from arcscat.grids import DensityVector, cosine_coeffs, nearest_admissible, theta_grid
-from arcscat.linalg import SolveReport
+from arcscat.grids import coeffs_from_values, nearest_admissible, theta_grid
+from arcscat.linalg import SolveReport, gmres
+from arcscat.operators import NFrame, build_S_matrix, n_frame, s0_solve_values
 from arcscat.scattering import (
     FORMULATIONS,
     Incidence,
@@ -26,21 +28,34 @@ from arcscat.scattering import (
     far_field_error,
     incident_field,
     near_field,
-    node_spacing,
     recover_mu,
     recover_nu,
-    rhs_te,
-    rhs_tm,
     solve,
+    te_data,
+    te_layer_density,
+    tm_data,
 )
 
 
 def make_solution(formulation, grid, values, arc=None, k=1.0):
+    """A Solution with the given density on the discretization's S and
+    node frame, as ``solve`` returns it."""
     arc = arc or make_arc("strip")
     report = SolveReport(iterations=0, residuals=[], converged=True, elapsed=0.0, n=grid.n)
-    return Solution(formulation=formulation, density=DensityVector(grid, values),
-                    report=report, arc=arc, k=k, grid=grid,
-                    incidence=Incidence(90.0, k))
+    return Solution(formulation=formulation, density=np.asarray(values, dtype=complex),
+                    report=report, arc=arc, k=k, grid=grid, incidence=Incidence(90.0, k),
+                    s_matrix=build_S_matrix(arc, k, grid), frame=n_frame(arc, k, grid))
+
+
+def node_te_data(arc, inc, grid):
+    """Dirichlet data at the nodes, from the node frame as ``solve`` builds it."""
+    return te_data(n_frame(arc, inc.k, grid).points, inc)
+
+
+def node_tm_data(arc, inc, grid):
+    """Neumann data at the nodes, from the node frame as ``solve`` builds it."""
+    frame = n_frame(arc, inc.k, grid)
+    return tm_data(frame.points, frame.normals, inc)
 
 
 # ---------------------------------------------------------------------------
@@ -55,15 +70,15 @@ def test_incidence_rejects_non_finite(angle, k):
 def test_rhs_te_low_frequency_limit():
     arc = make_arc("strip")
     g = theta_grid(16)
-    f = rhs_te(arc, Incidence(33.0, 1e-8), g)
-    assert np.max(np.abs(f.values + 1.0)) < 1e-7
+    f = node_te_data(arc, Incidence(33.0, 1e-8), g)
+    assert np.max(np.abs(f + 1.0)) < 1e-7
 
 
 def test_rhs_te_strip_normal_incidence_constant():
     arc = make_arc("strip")
     g = theta_grid(16)
-    f = rhs_te(arc, Incidence(90.0, 7.0), g)
-    assert np.max(np.abs(f.values + 1.0)) < 1e-14
+    f = node_te_data(arc, Incidence(90.0, 7.0), g)
+    assert np.max(np.abs(f + 1.0)) < 1e-14
 
 
 def test_rhs_te_pointwise():
@@ -71,25 +86,25 @@ def test_rhs_te_pointwise():
     k = 4.0
     inc = Incidence(25.0, k)
     g = theta_grid(32)
-    f = rhs_te(arc, inc, g)
+    f = node_te_data(arc, inc, g)
     rng = np.random.default_rng(0)
     for j in rng.choice(32, 10, replace=False):
         p = eval_arc(arc, math.cos(g.nodes[j]))[0]
-        assert abs(f.values[j] + np.exp(1j * k * (p @ inc.direction))) < 1e-14
+        assert abs(f[j] + np.exp(1j * k * (p @ inc.direction))) < 1e-14
 
 
 def test_rhs_tm_strip_horizontal_identically_zero():
     arc = make_arc("strip")
     g = theta_grid(64)
-    gvec = rhs_tm(arc, Incidence(0.0, 31.4), g)
-    assert np.max(np.abs(gvec.values)) == 0.0
+    gvec = node_tm_data(arc, Incidence(0.0, 31.4), g)
+    assert np.max(np.abs(gvec)) == 0.0
 
 
 def test_rhs_tm_bounded_by_k():
     arc = make_arc("spiral")
     k = 5.5
-    gvec = rhs_tm(arc, Incidence(70.0, k), theta_grid(32))
-    assert np.max(np.abs(gvec.values)) <= k + 1e-12
+    gvec = node_tm_data(arc, Incidence(70.0, k), theta_grid(32))
+    assert np.max(np.abs(gvec)) <= k + 1e-12
 
 
 def test_rhs_tm_finite_difference_check():
@@ -97,14 +112,14 @@ def test_rhs_tm_finite_difference_check():
     k = 3.0
     inc = Incidence(40.0, k)
     g = theta_grid(32)
-    gvec = rhs_tm(arc, inc, g)
+    gvec = node_tm_data(arc, inc, g)
     h = 1e-6
     for j in (2, 9, 15, 23, 30):
         p, _, nrm, _ = eval_arc(arc, math.cos(g.nodes[j]))
         up = np.exp(1j * k * ((p + h * nrm) @ inc.direction))
         dn = np.exp(1j * k * ((p - h * nrm) @ inc.direction))
         fd = -(up - dn) / (2 * h)
-        assert abs(gvec.values[j] - fd) < 1e-6 * max(1.0, abs(fd))
+        assert abs(gvec[j] - fd) < 1e-6 * max(1.0, abs(fd))
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +133,7 @@ def test_te_formulations_same_density():
     s1 = solve("TE_S", arc, inc, g, tol=1e-10)
     s2 = solve("TE_NS", arc, inc, g, tol=1e-10)
     assert s1.report.converged and s2.report.converged
-    assert np.max(np.abs(s1.density.values - s2.density.values)) < 1e-8
+    assert np.max(np.abs(s1.density - s2.density)) < 1e-8
 
 
 def test_tm_formulations_same_physical_density():
@@ -128,7 +143,7 @@ def test_tm_formulations_same_physical_density():
     inc = Incidence(90.0, k)
     t1 = solve("TM_N", arc, inc, g, tol=1e-10)
     t2 = solve("TM_NS", arc, inc, g, tol=1e-10)
-    nu1, nu2 = recover_nu(t1).values, recover_nu(t2).values
+    nu1, nu2 = recover_nu(t1), recover_nu(t2)
     assert np.max(np.abs(nu1 - nu2)) < 1e-7
 
 
@@ -139,7 +154,7 @@ def test_atkinson_recovers_same_mu():
     inc = Incidence(90.0, k)
     s1 = solve("TE_S", arc, inc, g, tol=1e-10)
     s3 = solve("TE_ATKINSON", arc, inc, g, tol=1e-10)
-    m1, m3 = recover_mu(s1).values, recover_mu(s3).values
+    m1, m3 = recover_mu(s1), recover_mu(s3)
     assert np.max(np.abs(m1 - m3)) < 1e-7 * np.max(np.abs(m1))
 
 
@@ -158,7 +173,7 @@ def test_unknown_formulation_rejected():
 def test_recover_mu_sine_density():
     g = theta_grid(32)
     sol = make_solution("TE_S", g, np.sin(g.nodes).astype(complex))
-    assert np.max(np.abs(recover_mu(sol).values - 1.0)) < 1e-13
+    assert np.max(np.abs(recover_mu(sol) - 1.0)) < 1e-13
 
 
 def test_recover_formulation_mismatch():
@@ -177,13 +192,13 @@ def test_edge_behavior_of_converged_densities():
     g = theta_grid(128)
     inc = Incidence(90.0, k)
     # nu vanishes linearly in sin theta at the edges
-    nu = recover_nu(solve("TM_N", arc, inc, g, tol=1e-10)).values
+    nu = recover_nu(solve("TM_N", arc, inc, g, tol=1e-10))
     s = np.sin(g.nodes)
     sel = s < 0.2
     slope = np.polyfit(np.log(s[sel]), np.log(np.abs(nu[sel])), 1)[0]
     assert 0.9 <= slope <= 1.1
     # phi stays bounded away from zero at the extreme nodes
-    phi = solve("TE_S", arc, inc, g, tol=1e-10).density.values
+    phi = solve("TE_S", arc, inc, g, tol=1e-10).density
     scale = np.max(np.abs(phi))
     assert abs(phi[0]) > 0.01 * scale and abs(phi[-1]) > 0.01 * scale
 
@@ -192,7 +207,7 @@ def test_density_coefficient_tail_decays():
     arc = make_arc("strip")
     k = wavenumber_for_ratio(arc, 10.0)
     sol = solve("TE_S", arc, Incidence(90.0, k), theta_grid(256), tol=1e-10)
-    c = np.abs(cosine_coeffs(sol.density))
+    c = np.abs(coeffs_from_values(sol.density))
     assert np.max(c[-26:]) < 1e-6 * np.max(c)
 
 
@@ -324,10 +339,10 @@ def direct_far_field_values(sol, m):
     phase = np.exp(-1j * k * (obs @ points.T))  # (m, n)
     w = np.pi / grid.n
     if sol.formulation == "TE_S":
-        density = sol.density.values * tau
+        density = sol.density * tau
         values = w * (phase @ density)
     else:
-        psi = sol.s_matrix.entries @ sol.density.values * tau * np.sin(grid.nodes) ** 2
+        psi = sol.s_matrix.entries @ sol.density * tau * np.sin(grid.nodes) ** 2
         values = w * ((-1j * k) * (obs @ normals.T) * phase) @ psi
     return angles, values
 
@@ -502,7 +517,7 @@ def test_near_field_of_no_points_is_empty():
 def n_node_rule(sol, pts):
     """The near field on all N nodes for every point, as near_field
     computed it before it chose a node count per point."""
-    frame = scattering._frame(sol)
+    frame = sol.frame
     nodes_xy, normals = frame.points, frame.normals
     grid, k = sol.grid, sol.k
     mask_distance = 2.0 * scattering._max_spacing(nodes_xy)
@@ -675,7 +690,7 @@ def test_total_field_vanishes_toward_dirichlet_boundary():
 
 def test_node_spacing_positive():
     arc = make_arc("spiral")
-    assert node_spacing(arc, theta_grid(64)) > 0.0
+    assert scattering._max_spacing(n_frame(arc, 1.0, theta_grid(64)).points) > 0.0
 
 
 def test_incident_field_values():
@@ -690,12 +705,9 @@ def test_solves_and_fields_on_one_discretization_share_its_frame(monkeypatch):
     # The right-hand sides, far fields and near fields read the node frame
     # of the solve's discretization; the arc is evaluated at the nodes when
     # the discretization is built, and never again.
-    frames = {"scattering": 0, "operators": 0}
-    for name, module in (("scattering", scattering), ("operators", operators)):
-        def spy(*args, _real=module.eval_arc, _name=name):
-            frames[_name] += 1
-            return _real(*args)
-        monkeypatch.setattr(module, "eval_arc", spy)
+    frames = []
+    real = operators.eval_arc
+    monkeypatch.setattr(operators, "eval_arc", lambda *args: frames.append(args) or real(*args))
     arc = make_arc("spiral")
     k = wavenumber_for_ratio(arc, 5.0)
     g = theta_grid(64)
@@ -703,16 +715,52 @@ def test_solves_and_fields_on_one_discretization_share_its_frame(monkeypatch):
     sols, built = [], None
     for form, angle in [(f, 60.0) for f in FORMULATIONS] + [("TE_S", 120.0)]:
         sol = solve(form, arc, Incidence(angle, k), g)
-        built = frames["operators"] if built is None else built
+        built = len(frames) if built is None else built
         sols.append((sol, far_field(sol, 720), near_field(sol, pts), near_field(sol, pts[0])))
-    assert frames == {"scattering": 0, "operators": built}
+    assert len(frames) == built
     assert all(sol.frame is sols[0][0].frame for sol, *_ in sols)
-    # the frame a solve carries equals a fresh evaluation bitwise
+    # the frame a solve carries equals a fresh evaluation bitwise, and so
+    # do the fields on either
+    fresh = n_frame(arc, k, g)
+    for name in (f.name for f in dataclasses.fields(NFrame)):
+        assert same_bits(getattr(sols[0][0].frame, name), getattr(fresh, name))
     for sol, ff, nf, lone in sols:
-        fresh = dataclasses.replace(sol, frame=None)
-        assert same_bits(far_field(fresh, 720).values, ff.values)
-        assert same_bits(near_field(fresh, pts), nf)
-        assert same_bits([near_field(fresh, pts[0])], [lone])
+        on_fresh = dataclasses.replace(sol, frame=fresh)
+        assert same_bits(far_field(on_fresh, 720).values, ff.values)
+        assert same_bits(near_field(on_fresh, pts), nf)
+        assert same_bits([near_field(on_fresh, pts[0])], [lone])
+
+
+def test_atkinson_on_a_reused_discretization_evaluates_no_arc_speed(monkeypatch):
+    # TE_ATKINSON divides by tau in every GMRES iteration and in its density
+    # recovery; it reads tau from the frame, which holds the same bits as
+    # the arc speed at the nodes.
+    arc = make_arc("spiral")
+    k = wavenumber_for_ratio(arc, 5.0)
+    g = theta_grid(64)
+    inc = Incidence(60.0, k)
+    solve("TE_S", arc, inc, g)
+    calls = []
+    real_speed, real_eval_arc = arcscat.geometry.speed, arcscat.geometry.eval_arc
+    for module in (arcscat.geometry, arcscat.grids, operators, scattering, specfun):
+        if hasattr(module, "speed"):
+            monkeypatch.setattr(module, "speed", lambda *a: calls.append(a) or real_speed(*a))
+        if hasattr(module, "eval_arc"):
+            monkeypatch.setattr(module, "eval_arc",
+                                lambda *a: calls.append(a) or real_eval_arc(*a))
+    sol = solve("TE_ATKINSON", arc, inc, g)
+    ff = far_field(sol, 720)
+    phi = te_layer_density(sol)
+    assert sol.mat_seconds == 0.0 and calls == []
+    # the same solve with tau evaluated as the arc speed
+    tau = real_speed(arc, np.cos(g.nodes))
+    x, report = gmres(lambda u: sol.s_matrix.entries @ (s0_solve_values(u) / tau),
+                      te_data(sol.frame.points, inc), tol=1e-8, maxit=2000)
+    assert report.iterations == sol.report.iterations
+    assert same_bits(sol.density, x)
+    assert same_bits(phi, s0_solve_values(x) / tau)
+    as_te_s = dataclasses.replace(sol, formulation="TE_S", density=s0_solve_values(x) / tau)
+    assert same_bits(ff.values, far_field(as_te_s, 720).values)
 
 
 # ---------------------------------------------------------------------------
@@ -774,7 +822,7 @@ def test_second_solve_reuses_s(builds):
     assert builds == [64]
     assert second.s_matrix is first.s_matrix
     assert first.mat_seconds > 0.0 and second.mat_seconds == 0.0
-    assert same_bits(second.density.values, first.density.values)
+    assert same_bits(second.density, first.density)
     assert same_bits(far_field(second, 90).values, far_field(first, 90).values)
 
 
@@ -848,14 +896,14 @@ def test_solves_racing_on_the_memo_stay_correct():
     arc = make_arc("strip")
     inc = Incidence(60.0, 3.0)
     grids = [theta_grid(32), theta_grid(48)]
-    expect = {g.n: solve("TM_NS", arc, inc, g).density.values for g in grids}
+    expect = {g.n: solve("TM_NS", arc, inc, g).density for g in grids}
     results, errors = [], []
 
     def worker(i):
         try:
             for j in range(6):
                 g = grids[(i + j) % 2]
-                results.append((g.n, solve("TM_NS", arc, inc, g).density.values))
+                results.append((g.n, solve("TM_NS", arc, inc, g).density))
         except Exception as exc:  # reported by the assertion below
             errors.append(exc)
 

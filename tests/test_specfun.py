@@ -132,18 +132,18 @@ def test_input_validation():
 # ---------------------------------------------------------------------------
 def test_kernel_split_diagonal_values():
     arc = make_arc("strip")
-    ks = kernel_split(2.0, arc, 0.7, 0.7)
-    assert abs(ks.a1 + 1.0 / (2.0 * np.pi)) < 1e-16
+    a1, a2 = kernel_split(2.0, arc, 0.7, 0.7)
+    assert abs(a1 + 1.0 / (2.0 * np.pi)) < 1e-16
     expected = 0.25j - (EULER_GAMMA + math.log(0.5 * 2.0 * 1.0)) / (2.0 * np.pi)
-    assert abs(ks.a2 - expected) < 1e-15
+    assert abs(a2 - expected) < 1e-15
 
 
 def test_kernel_split_strip_reconstruction_example():
     # theta, theta' = pi/3, 2pi/3 on the strip: R = |cos - cos'| = 1
     arc = make_arc("strip")
     k = np.pi
-    ks = kernel_split(k, arc, np.pi / 3.0, 2.0 * np.pi / 3.0)
-    rebuilt = ks.a1 * math.log(abs(math.cos(np.pi / 3) - math.cos(2 * np.pi / 3))) + ks.a2
+    a1, a2 = kernel_split(k, arc, np.pi / 3.0, 2.0 * np.pi / 3.0)
+    rebuilt = a1 * math.log(abs(math.cos(np.pi / 3) - math.cos(2 * np.pi / 3))) + a2
     assert abs(rebuilt - 0.25j * hankel1_0(k)) < 1e-13
 
 
@@ -155,12 +155,12 @@ def test_kernel_split_reconstruction_sweep(kind, k):
     theta_p = rng.uniform(0.0, np.pi, 100000)
     keep = np.abs(theta - theta_p) > 1e-3
     theta, theta_p = theta[keep], theta_p[keep]
-    ks = kernel_split(k, arc, theta, theta_p)
+    a1, a2 = kernel_split(k, arc, theta, theta_p)
     p = eval_arc(arc, np.cos(theta))[0]
     pp = eval_arc(arc, np.cos(theta_p))[0]
     dist = np.hypot(p[:, 0] - pp[:, 0], p[:, 1] - pp[:, 1])
     green = 0.25j * hankel1_0(k * dist)
-    rebuilt = ks.a1 * np.log(np.abs(np.cos(theta) - np.cos(theta_p))) + ks.a2
+    rebuilt = a1 * np.log(np.abs(np.cos(theta) - np.cos(theta_p))) + a2
     assert np.max(np.abs(rebuilt - green) / (1.0 + np.abs(green))) < 1e-12
 
 
@@ -169,8 +169,8 @@ def test_kernel_split_a1_essentially_real():
     rng = np.random.default_rng(11)
     theta = rng.uniform(0.0, np.pi, 1000)
     theta_p = rng.uniform(0.0, np.pi, 1000)
-    ks = kernel_split(3.0, arc, theta, theta_p)
-    assert np.max(np.abs(np.imag(ks.a1))) < 1e-14
+    a1, _ = kernel_split(3.0, arc, theta, theta_p)
+    assert np.max(np.abs(np.imag(a1))) < 1e-14
 
 
 def test_kernel_split_even_and_periodic():
@@ -178,12 +178,12 @@ def test_kernel_split_even_and_periodic():
     rng = np.random.default_rng(13)
     theta = rng.uniform(0.05, np.pi - 0.05, 200)
     theta_p = rng.uniform(0.05, np.pi - 0.05, 200)
-    base = kernel_split(1.5, arc, theta, theta_p)
-    neg = kernel_split(1.5, arc, -theta, theta_p)
-    assert np.array_equal(base.a1, neg.a1) and np.array_equal(base.a2, neg.a2)
-    refl = kernel_split(1.5, arc, 2.0 * np.pi - theta, theta_p)
-    assert np.max(np.abs(refl.a1 - base.a1)) < 1e-13
-    assert np.max(np.abs(refl.a2 - base.a2)) < 1e-12
+    base_a1, base_a2 = kernel_split(1.5, arc, theta, theta_p)
+    neg_a1, neg_a2 = kernel_split(1.5, arc, -theta, theta_p)
+    assert np.array_equal(base_a1, neg_a1) and np.array_equal(base_a2, neg_a2)
+    refl_a1, refl_a2 = kernel_split(1.5, arc, 2.0 * np.pi - theta, theta_p)
+    assert np.max(np.abs(refl_a1 - base_a1)) < 1e-13
+    assert np.max(np.abs(refl_a2 - base_a2)) < 1e-12
 
 
 def test_kernel_split_diagonal_limit():
@@ -193,11 +193,11 @@ def test_kernel_split_diagonal_limit():
     k = 2.0
     theta = 1.1
     delta = 1e-5
-    diag = kernel_split(k, arc, theta, theta)
-    lo = kernel_split(k, arc, theta, theta - delta)
-    hi = kernel_split(k, arc, theta, theta + delta)
-    assert abs(0.5 * (lo.a2 + hi.a2) - diag.a2) < 1e-8
-    assert abs(hi.a2 - diag.a2) < 1e-4  # one-sided limit converges too
+    diag = kernel_split(k, arc, theta, theta)[1]
+    lo = kernel_split(k, arc, theta, theta - delta)[1]
+    hi = kernel_split(k, arc, theta, theta + delta)[1]
+    assert abs(0.5 * (lo + hi) - diag) < 1e-8
+    assert abs(hi - diag) < 1e-4  # one-sided limit converges too
 
 
 def test_kernel_split_rejects_nonpositive_k():
