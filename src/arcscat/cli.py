@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import make_arc, wavenumber_for_ratio
+from .geometry import ARC_KINDS, make_arc, wavenumber_for_ratio
 from .grids import is_admissible, nearest_admissible, theta_grid
 from .linalg import eig_dense
 from .operators import DENSE_CAP, dense_operator
@@ -298,23 +298,25 @@ def cmd_tables(args) -> int:
     return 0
 
 
-def _add_common(p, need_n=True):
-    p.add_argument("--arc", default="strip", choices=["strip", "spiral", "parabola",
-                                                      "halfcircle", "circlecavity"])
-    p.add_argument("--arc-params", default="", help="comma-separated family parameters")
-    p.add_argument("--ratio", type=float, default=None, help="arc length over wavelength")
-    p.add_argument("--k", type=float, default=None, help="explicit wavenumber")
-    p.add_argument("--pol", default="TE", choices=["TE", "TM"])
-    p.add_argument("--form", default="S", help="S, N, NS or ATK")
-    if need_n:
-        p.add_argument("--n", type=int, default=400, help="grid size (2/3/5-smooth)")
-    p.add_argument("--inc-deg", type=float, default=90.0, dest="inc_deg")
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--maxit", type=int, default=2000)
-    p.add_argument("--obs", type=int, default=360, help="observation angle count")
-    p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--self-check", action="store_true", dest="self_check",
-                   help="estimate eps_r against an internally doubled grid")
+# The shared flags and the subcommands that read them; argparse rejects
+# a flag on a subcommand that does not read it.
+_PROBLEM, _SOLVING = "solve spectrum converge fieldmap", "solve converge fieldmap tables"
+_FLAGS = [
+    ("--arc", _PROBLEM, dict(default="strip", choices=ARC_KINDS)),
+    ("--arc-params", _PROBLEM, dict(default="", help="comma-separated family parameters")),
+    ("--ratio", _PROBLEM, dict(type=float, default=None, help="arc length over wavelength")),
+    ("--k", _PROBLEM, dict(type=float, default=None, help="explicit wavenumber")),
+    ("--pol", "solve converge fieldmap", dict(default="TE", choices=["TE", "TM"])),
+    ("--form", _PROBLEM, dict(default="S", help="S, N, NS or ATK")),
+    ("--n", "solve spectrum fieldmap", dict(type=int, default=400, help="grid size (2/3/5-smooth)")),
+    ("--inc-deg", _SOLVING, dict(type=float, default=90.0, dest="inc_deg")),
+    ("--tol", _SOLVING, dict(type=float, default=1e-8)),
+    ("--maxit", _SOLVING, dict(type=int, default=2000)),
+    ("--obs", "solve converge tables", dict(type=int, default=360, help="observation angle count")),
+    ("--out", f"{_PROBLEM} tables", dict(default=".", help="output directory")),
+    ("--self-check", "solve tables", dict(action="store_true", dest="self_check",
+                                          help="estimate eps_r against an internally doubled grid")),
+]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -322,40 +324,34 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="TE/TM scattering by smooth open arcs")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("solve", help="solve one problem and write far field/density")
-    _add_common(p)
-    p.set_defaults(func=cmd_solve)
+    def command(name, help_text, func):
+        p = sub.add_parser(name, help=help_text)
+        for flag, commands, kwargs in _FLAGS:
+            if name in commands.split():
+                p.add_argument(flag, **kwargs)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("spectrum", help="dense operator eigenvalues")
-    _add_common(p)
-    p.set_defaults(func=cmd_spectrum)
-
-    p = sub.add_parser("converge", help="far-field self-convergence study")
-    _add_common(p, need_n=False)
+    command("solve", "solve one problem and write far field/density", cmd_solve)
+    command("spectrum", "dense operator eigenvalues", cmd_spectrum)
+    p = command("converge", "far-field self-convergence study", cmd_converge)
     p.add_argument("--n", default="128,256,400", help="comma-separated grid sizes")
-    p.set_defaults(func=cmd_converge)
-
-    p = sub.add_parser("fieldmap", help="total-field map on a rectangle")
-    _add_common(p)
+    p = command("fieldmap", "total-field map on a rectangle", cmd_fieldmap)
     p.add_argument("--rect", default="-2,-2,2,2", help="x0,y0,x1,y1")
     p.add_argument("--res", default="200x200", help="WxH pixels")
-    p.set_defaults(func=cmd_fieldmap)
-
-    p = sub.add_parser("tables", help="iteration-count tables")
-    _add_common(p, need_n=False)
+    p = command("tables", "iteration-count tables", cmd_tables)
     p.add_argument("--table", required=True, help=",".join(sorted(_TABLE_SPECS)))
     p.add_argument("--cap", type=float, default=200.0, help="largest L/lambda to run")
-    p.set_defaults(func=cmd_tables)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.maxit < 1:
+    if "maxit" in args and args.maxit < 1:
         raise SystemExit("error: --maxit must be at least 1")
-    if not 0.0 < args.tol < 1.0:
+    if "tol" in args and not 0.0 < args.tol < 1.0:
         raise SystemExit("error: --tol must be in (0, 1)")
-    if args.obs < 1:
+    if "obs" in args and args.obs < 1:
         raise SystemExit("error: --obs must be at least 1")
     return args.func(args)
 

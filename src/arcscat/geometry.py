@@ -27,7 +27,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Tuple
 
 import numpy as np
-import scipy.fft
+
+from .grids import coeffs_from_values, theta_grid
 
 ARC_KINDS = ("strip", "spiral", "parabola", "halfcircle", "circlecavity")
 
@@ -47,14 +48,11 @@ class Arc:
         circular cavity, which takes ``(radius, gap_arclength)``).
     length : float
         Geometric arc length of r([-1, 1]).
-    orientation : int
-        Sign of the normal convention; n = orientation * (y', -x') / tau.
     """
 
     kind: str
     params: Tuple[float, ...]
     length: float
-    orientation: int = 1
     _pos: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]] = field(repr=False, compare=False, default=None)
     _vel: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]] = field(repr=False, compare=False, default=None)
 
@@ -118,11 +116,8 @@ def _make_circlecavity(radius: float, gap: float):
 
 def _fejer_length(vel, n: int) -> float:
     # integral of tau over [-1,1] = sum over even cosine modes of tau(cos theta)
-    theta = np.pi * (2.0 * np.arange(n) + 1.0) / (2.0 * n)
-    dx, dy = vel(np.cos(theta))
-    tau = np.hypot(dx, dy)
-    coef = scipy.fft.dct(tau, type=2) / n
-    coef[0] *= 0.5
+    dx, dy = vel(np.cos(theta_grid(n).nodes))
+    coef = coeffs_from_values(np.hypot(dx, dy))
     m = np.arange(0, n, 2)
     weights = np.zeros_like(m, dtype=float)
     weights[0] = 2.0
@@ -182,7 +177,7 @@ def make_arc(kind: str, params=()) -> Arc:
     check = _fejer_length(vel, _LENGTH_NODES // 2)
     if abs(length - check) > 1e-10 * abs(length):
         raise ValueError(f"arc length quadrature failed to converge for {kind!r}")
-    return Arc(kind=kind, params=params, length=length, orientation=1, _pos=pos, _vel=vel)
+    return Arc(kind=kind, params=params, length=length, _pos=pos, _vel=vel)
 
 
 def eval_arc(arc: Arc, t):
@@ -190,17 +185,16 @@ def eval_arc(arc: Arc, t):
 
     Accepts a scalar or array ``t`` in [-1, 1] and returns
     ``(point, tangent, normal, tau)`` where the vector quantities have a
-    trailing axis of length 2 and ``tau = |r'(t)| > 0``.
+    trailing axis of length 2, ``tau = |r'(t)| > 0`` and the normal is
+    (y', -x') / tau.
     """
     t = np.asarray(t, dtype=float)
     x, y = arc._pos(t)
     dx, dy = arc._vel(t)
     tau = np.hypot(dx, dy)
-    nx = arc.orientation * dy / tau
-    ny = -arc.orientation * dx / tau
     point = np.stack([np.broadcast_to(x, t.shape), np.broadcast_to(y, t.shape)], axis=-1)
     tangent = np.stack([np.broadcast_to(dx, t.shape), np.broadcast_to(dy, t.shape)], axis=-1)
-    normal = np.stack([nx, ny], axis=-1)
+    normal = np.stack([dy / tau, -dx / tau], axis=-1)
     return point, tangent, normal, tau
 
 

@@ -35,7 +35,8 @@ k^2 sin^2 theta) and the Nystrom matrix S.  There are three groups.
   it is applied through S as Ng v = k^2 sum_{c in x, y} n_c S(n_c
   sin^2 theta v) and never stored.  The three S products of N share one
   pass over S by cache-sized row blocks, so N reads S from memory once
-  and NS twice.  Dense materializations exist for spectrum studies.
+  and NS twice.  ``operator_action`` is the one table of S, N, NS and
+  S0invS, applied by GMRES and, for spectra, by ``dense_operator``.
 """
 
 from __future__ import annotations
@@ -290,20 +291,21 @@ def build_S_matrix(arc: Arc, k: float, grid: ThetaGrid) -> OperatorMatrix:
 
 
 def _s_products(s_entries: np.ndarray, vectors) -> np.ndarray:
-    """Row i of the result is s_entries @ vectors[i], computed in one pass
-    over S by near-equal row blocks of ``ROW_BLOCK_BYTES`` to twice that:
-    each block is read from memory once and stays in L2 for the other
+    """Entry i of the result is S applied to vectors[i], a density or a
+    stack of densities along the last axis, computed in one pass over S
+    by near-equal row blocks of ``ROW_BLOCK_BYTES`` to twice that: each
+    block is read from memory once and stays in L2 for the other
     products.  A block product computes every row as the full product
     does, so the result is bitwise the same; only a one-row block would
     take another BLAS path, so every block has at least two rows."""
     n = s_entries.shape[0]
-    out = np.empty((len(vectors), n), dtype=np.result_type(s_entries, *vectors))
+    out = np.empty((len(vectors), *vectors[0].shape), dtype=np.result_type(s_entries, *vectors))
     blocks = max(1, min(n // 2, s_entries.nbytes // ROW_BLOCK_BYTES))
     for b in range(blocks):
         rows = slice(n * b // blocks, n * (b + 1) // blocks)
         block = s_entries[rows]
         for y, v in zip(out, vectors):
-            y[rows] = block @ v
+            y[..., rows] = (block @ v.T).T
     return out
 
 
@@ -320,9 +322,29 @@ def _n_terms(frame: NFrame, s_entries: np.ndarray, values: np.ndarray):
 
 
 def n_apply(frame: NFrame, s_entries: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Hypersingular pipeline Ng v + (1/tau) D0 S T0_tau v on raw samples."""
+    """Hypersingular pipeline Ng v + (1/tau) D0 S T0_tau v on raw samples
+    (a density, or a stack of densities along the last axis)."""
     ng, pv = _n_terms(frame, s_entries, values)
     return ng + pv
+
+
+def operator_action(name: str, frame: NFrame, s_entries: np.ndarray):
+    """The action on a density, or on a stack of densities along the last
+    axis, of ``S`` (weighted single layer), ``N`` (weighted
+    hypersingular), ``NS`` (second-kind composition) or ``S0invS``
+    (single layer preconditioned by the inverse of S0 (tau .))."""
+    def s(values):
+        return (s_entries @ values.T).T
+
+    actions = {
+        "S": s,
+        "N": lambda values: n_apply(frame, s_entries, values),
+        "NS": lambda values: n_apply(frame, s_entries, s(values)),
+        "S0invS": lambda values: s(s0tau_solve_values(frame, values)),
+    }
+    if name not in actions:
+        raise ValueError(f"unknown operator name {name!r}; expected S, N, NS or S0invS")
+    return actions[name]
 
 
 # ---------------------------------------------------------------------------
@@ -338,32 +360,12 @@ def assemble_dense(op, grid: ThetaGrid, cap: int = DENSE_CAP) -> np.ndarray:
     return np.column_stack([op(e) for e in np.eye(grid.n, dtype=complex)])
 
 
-def dense_n(frame: NFrame, s_matrix: OperatorMatrix, grid: ThetaGrid) -> np.ndarray:
-    """Dense N = Ng + diag(1/tau) D0 S T0_tau, with Ng built entry by
-    entry as k^2 (n_n . n_j) sin^2(theta_j) S(n, j)."""
-    k, eye = s_matrix.k, np.eye(grid.n)
-    sin2 = np.sin(grid.nodes) ** 2
-    ng = (k * k) * (frame.normals @ frame.normals.T) * sin2[None, :] * s_matrix.entries
-    pv = d0_values(eye).T @ s_matrix.entries @ (t0_values(eye) / frame.tau).T
-    return ng + pv / frame.tau[:, None]
-
-
 def dense_operator(name: str, arc: Arc, k: float, grid: ThetaGrid) -> np.ndarray:
-    """Dense matrix of one of the studied operators.
-
-    ``name`` is one of ``S`` (weighted single layer), ``N`` (weighted
-    hypersingular), ``NS`` (second-kind composition) or ``S0invS``
-    (single layer preconditioned by the inverse flat-arc operator).
-    """
+    """Dense matrix of ``operator_action(name, ...)``, the action GMRES
+    applies, from its action on the identity stack."""
     if name not in ("S", "N", "NS", "S0invS"):
         raise ValueError(f"unknown operator name {name!r}; expected S, N, NS or S0invS")
     if grid.n > DENSE_CAP:
         raise ValueError(f"dense assembly capped at {DENSE_CAP}")
     s = build_S_matrix(arc, k, grid)
-    if name == "S":
-        return s.entries
-    frame = n_frame(arc, k, grid)
-    if name == "S0invS":
-        return s.entries @ s0tau_solve_values(frame, np.eye(grid.n)).T
-    nd = dense_n(frame, s, grid)
-    return nd if name == "N" else nd @ s.entries
+    return operator_action(name, n_frame(arc, k, grid), s.entries)(np.eye(grid.n)).T

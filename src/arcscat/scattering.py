@@ -59,13 +59,16 @@ from .operators import (
     NFrame,
     OperatorMatrix,
     build_S_matrix,
-    n_apply,
     n_frame,
+    operator_action,
     s0tau_solve_values,
 )
 from .specfun import hankel1_0, hankel1_1
 
-FORMULATIONS = ("TE_S", "TE_NS", "TM_N", "TM_NS", "TE_ATKINSON")
+# The operator of ``operators.operator_action`` that each formulation's
+# GMRES applies; TE_NS also applies N to its data.
+_OPERATORS = {"TE_S": "S", "TE_NS": "NS", "TM_N": "N", "TM_NS": "NS", "TE_ATKINSON": "S0invS"}
+FORMULATIONS = tuple(_OPERATORS)
 TE_FORMULATIONS = ("TE_S", "TE_NS", "TE_ATKINSON")
 TM_FORMULATIONS = ("TM_N", "TM_NS")
 
@@ -207,33 +210,13 @@ def solve(formulation: str, arc: Arc, inc: Incidence, grid: ThetaGrid,
         raise ValueError(f"unknown formulation {formulation!r}; expected one of {FORMULATIONS}")
     k = inc.k
     s, frame, mat_seconds = _discretize(arc, k, grid)
-
-    def s_action(u):
-        return s.entries @ u
-
-    def n_action(u):
-        return n_apply(frame, s.entries, u)
-
-    def ns_action(u):
-        return n_action(s.entries @ u)
-
-    def atkinson_action(u):
-        return s.entries @ s0tau_solve_values(frame, u)
-
+    action = operator_action(_OPERATORS[formulation], frame, s.entries)
     if formulation in TE_FORMULATIONS:
         b = te_data(frame.points, inc)
     else:
         b = tm_data(frame.points, frame.normals, inc)
-    if formulation == "TE_S":
-        action = s_action
-    elif formulation == "TE_NS":
-        action, b = ns_action, n_action(b)
-    elif formulation == "TM_N":
-        action = n_action
-    elif formulation == "TM_NS":
-        action = ns_action
-    else:
-        action = atkinson_action
+    if formulation == "TE_NS":
+        b = operator_action("N", frame, s.entries)(b)
 
     if np.linalg.norm(b) == 0.0:
         # identically dark data (e.g. TM on the strip at horizontal
@@ -278,6 +261,14 @@ def recover_nu(sol: Solution) -> np.ndarray:
     """Double-layer density nu = sin theta * psi at the nodes; vanishes
     at the edges like the square-root distance weight."""
     return np.sin(sol.grid.nodes) * tm_layer_density(sol)
+
+
+def _quadrature_density(sol: Solution) -> np.ndarray:
+    """The density both field quadratures sum at the nodes: the layer
+    density times tau, and times sin^2 theta for TM."""
+    if sol.formulation in TE_FORMULATIONS:
+        return te_layer_density(sol) * sol.frame.tau
+    return tm_layer_density(sol) * sol.frame.tau * np.sin(sol.grid.nodes) ** 2
 
 
 def _directions(m: int):
@@ -350,12 +341,10 @@ def far_field(sol: Solution, m: int) -> FarField:
     if m <= 0:
         raise ValueError("observation count must be positive")
     grid, k = sol.grid, sol.k
-    frame = sol.frame
-    points = frame.points
-    if sol.formulation in TE_FORMULATIONS:
-        cols = (te_layer_density(sol) * frame.tau)[:, None]
-    else:
-        cols = frame.normals * (tm_layer_density(sol) * frame.tau * np.sin(grid.nodes) ** 2)[:, None]
+    points = sol.frame.points
+    cols = _quadrature_density(sol)[:, None]
+    if sol.formulation not in TE_FORMULATIONS:
+        cols = sol.frame.normals * cols
     angles, obs = _directions(m)
     center = 0.5 * (points.min(axis=0) + points.max(axis=0))
     kr = k * float(np.max(np.hypot(*(points - center).T)))
@@ -542,11 +531,7 @@ def near_field(sol: Solution, points: np.ndarray,
     elif not (np.isfinite(mask_distance) and mask_distance >= 0.0):
         raise ValueError("mask_distance must be finite and >= 0")
     tm = sol.formulation not in TE_FORMULATIONS
-    if tm:
-        density = tm_layer_density(sol) * frame.tau * np.sin(grid.nodes) ** 2
-    else:
-        density = te_layer_density(sol) * frame.tau
-
+    density = _quadrature_density(sol)
     coeffs = coeffs_from_values(density)
     counts = _node_counts(pts, frame, grid, k, coeffs, mask_distance)
     out = np.empty(len(pts), dtype=complex)

@@ -252,3 +252,16 @@ def test_tables_self_check_builds_s_once_per_grid(tmp_path, monkeypatch):
 def test_tables_unknown_id(tmp_path):
     with pytest.raises(SystemExit):
         run(["tables", "--table", "bogus", "--out", str(tmp_path)])
+
+
+@pytest.mark.parametrize("argv", [
+    ["tables", "--table", "strip-tm", "--arc", "spiral"],
+    ["spectrum", "--arc", "strip", "--ratio", "5", "--n", "64", "--tol", "1e-3"],
+    ["fieldmap", "--arc", "strip", "--ratio", "5", "--n", "64", "--self-check"],
+], ids=["tables-arc", "spectrum-tol", "fieldmap-self-check"])
+def test_flags_a_subcommand_does_not_read_are_rejected(tmp_path, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv + ["--out", str(tmp_path / "run")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()

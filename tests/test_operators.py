@@ -38,13 +38,13 @@ from arcscat.operators import (
     build_log_quad,
     build_S_matrix,
     c_apply_values,
-    dense_n,
     dense_operator,
     j0_apply_values,
     log_quad_matrix,
     n0_apply_values,
     n_apply,
     n_frame,
+    operator_action,
     s0_apply_values,
     s0_eigenvalue,
     s0_eigenvalues,
@@ -575,8 +575,7 @@ def test_ns_small_k_clusters_at_quarter():
     arc = make_arc("strip")
     k = 0.1
     g = theta_grid(64)
-    s = build_S_matrix(arc, k, g)
-    lam = eig_dense(dense_n(n_frame(arc, k, g), s, g) @ s.entries)
+    lam = eig_dense(dense_operator("NS", arc, k, g))
     dist = np.sort(np.abs(lam + 0.25))
     bulk = dist[: int(0.8 * 64)]
     assert bulk.mean() < 0.05
@@ -639,17 +638,44 @@ def test_assemble_s0_transform_conjugation():
 @pytest.mark.parametrize("kind", ["strip", "halfcircle", "spiral"])
 def test_assemble_ns_associativity(kind):
     # curved arcs have n . n' != 1, so they also check the normals in
-    # the Ng action against the entrywise Ng of dense_n
+    # the Ng action against Ng built entry by entry as
+    # k^2 (n_n . n_j) sin^2(theta_j) S(n, j), with D0 and T0_tau as
+    # dense matrices
     arc = make_arc(kind)
     k = 2.0
     g = theta_grid(32)
     s, frame = build_S_matrix(arc, k, g), n_frame(arc, k, g)
-    nd = dense_n(frame, s, g)
+    eye = np.eye(g.n)
+    ng = (k * k) * (frame.normals @ frame.normals.T) * np.sin(g.nodes) ** 2 * s.entries
+    pv = d0_values(eye).T @ s.entries @ (t0_values(eye) / frame.tau).T
+    nd = ng + pv / frame.tau[:, None]
     piped_n = assemble_dense(lambda v: n_apply(frame, s.entries, v), g)
     assert np.max(np.abs(piped_n - nd)) < 1e-11
+    assert np.max(np.abs(dense_operator("N", arc, k, g) - nd)) < 1e-11
     piped = assemble_dense(lambda v: n_apply(frame, s.entries, s.entries @ v), g)
     product = nd @ s.entries
     assert np.max(np.abs(piped - product)) < 1e-11
+    assert np.max(np.abs(dense_operator("NS", arc, k, g) - product)) < 1e-11
+
+
+@pytest.mark.parametrize("kind", ["spiral", "halfcircle"])
+@pytest.mark.parametrize("name", ["S", "N", "NS", "S0invS"])
+def test_operator_action_on_a_stack_matches_single_densities(kind, name):
+    arc = make_arc(kind)
+    k = wavenumber_for_ratio(arc, 4.0)
+    g = theta_grid(64)
+    action = operator_action(name, n_frame(arc, k, g), build_S_matrix(arc, k, g).entries)
+    stack = np.array([rand_dv(g, seed) for seed in range(5)])
+    rows = np.array([action(v) for v in stack])
+    got = action(stack)
+    assert got.shape == (5, g.n)
+    assert np.max(np.abs(got - rows)) <= 1e-13 * np.max(np.abs(rows))
+
+
+def test_operator_action_rejects_an_unknown_name():
+    arc, g = make_arc("strip"), theta_grid(16)
+    with pytest.raises(ValueError, match="unknown operator name"):
+        operator_action("Q", n_frame(arc, 1.0, g), build_S_matrix(arc, 1.0, g).entries)
 
 
 def test_discrete_calderon_identity():
