@@ -14,7 +14,6 @@ from .operators import (
     assemble_dense,
     build_log_quad,
     build_S_matrix,
-    dense_operator,
     n_apply,
     n_frame,
     s0_eigenvalue,
@@ -23,6 +22,7 @@ from .scattering import (
     FarField,
     Incidence,
     Solution,
+    dense_operator,
     far_field,
     far_field_error,
     incident_field,

@@ -24,10 +24,10 @@ import numpy as np
 
 from .geometry import ARC_KINDS, make_arc, wavenumber_for_ratio
 from .grids import is_admissible, nearest_admissible, theta_grid
-from .linalg import eig_dense
-from .operators import DENSE_CAP, dense_operator
+from .linalg import DENSE_CAP, eig_dense
 from .scattering import (
     Incidence,
+    dense_operator,
     far_field,
     far_field_error,
     incident_field,

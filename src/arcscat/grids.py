@@ -28,7 +28,7 @@ the top mode vanishes identically at the nodes, so resampling drops it
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.fft
@@ -58,10 +58,11 @@ def nearest_admissible(n: int) -> int:
 
 @dataclass(frozen=True)
 class ThetaGrid:
-    """N-point cosine-node grid theta_j = pi (2j + 1) / (2N)."""
+    """N-point cosine-node grid theta_j = pi (2j + 1) / (2N), defined by
+    N alone: grids of one size are equal, and their nodes are read-only."""
 
     n: int
-    nodes: np.ndarray
+    nodes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if isinstance(self.n, bool):
@@ -70,12 +71,14 @@ class ThetaGrid:
         if not is_admissible(self.n):
             raise ValueError(
                 f"grid size {self.n} not admissible; need n >= 4 with prime factors in {{2, 3, 5}}")
+        nodes = np.pi * (2.0 * np.arange(self.n) + 1.0) / (2.0 * self.n)
+        nodes.flags.writeable = False
+        object.__setattr__(self, "nodes", nodes)
 
 
 def theta_grid(n: int) -> ThetaGrid:
     """Build the admissible N-point grid."""
-    j = np.arange(n)
-    return ThetaGrid(n=n, nodes=np.pi * (2.0 * j + 1.0) / (2.0 * n))
+    return ThetaGrid(n)
 
 
 def coeffs_from_values(values: np.ndarray) -> np.ndarray:

@@ -36,7 +36,7 @@ k^2 sin^2 theta) and the Nystrom matrix S.  There are three groups.
   sin^2 theta v) and never stored.  The three S products of N share one
   pass over S by cache-sized row blocks, so N reads S from memory once
   and NS twice.  ``operator_action`` is the one table of S, N, NS and
-  S0invS, applied by GMRES and, for spectra, by ``dense_operator``.
+  S0invS, applied by GMRES and by ``scattering.dense_operator``.
 """
 
 from __future__ import annotations
@@ -61,9 +61,9 @@ from .grids import (
     t0_values,
     values_from_coeffs,
 )
+from .linalg import DENSE_CAP
 from .specfun import _a1a2_offdiag, _a2_diagonal
 
-DENSE_CAP = 4096
 # An upper-triangle row panel of the S assembly holds about
 # max(PANEL_ENTRIES, N^2 / 64) kernel entries.  Up to N = 1024 a panel's
 # temporaries (about 40 bytes an entry) fit in a 2 MiB L2, and its
@@ -144,10 +144,7 @@ def n0_apply_values(values: np.ndarray) -> np.ndarray:
     """
     n = values.shape[-1]
     c = t0_coeffs(values)  # modes 0..N
-    lam = np.empty(n + 1)
-    lam[0] = 0.5 * np.log(2.0)
-    lam[1:] = 0.5 / np.arange(1, n + 1)
-    d = d0_coeffs(c * lam)  # modes 0..N-1
+    d = d0_coeffs(c * s0_eigenvalues(n + 1))  # modes 0..N-1
     return values_from_coeffs(d)
 
 
@@ -350,22 +347,11 @@ def operator_action(name: str, frame: NFrame, s_entries: np.ndarray):
 # ---------------------------------------------------------------------------
 # Dense materializations
 # ---------------------------------------------------------------------------
-def assemble_dense(op, grid: ThetaGrid, cap: int = DENSE_CAP) -> np.ndarray:
+def assemble_dense(op, grid: ThetaGrid) -> np.ndarray:
     """Materialize a linear action on node values column by column:
     column j of the result is op(e_j), e_j the j-th unit sample vector.
     An action that transforms a stack of densities along the last axis
     gives the same matrix in one call, as op(np.eye(N)).T."""
-    if grid.n > cap:
-        raise ValueError(f"dense assembly capped at {cap}, requested {grid.n}")
-    return np.column_stack([op(e) for e in np.eye(grid.n, dtype=complex)])
-
-
-def dense_operator(name: str, arc: Arc, k: float, grid: ThetaGrid) -> np.ndarray:
-    """Dense matrix of ``operator_action(name, ...)``, the action GMRES
-    applies, from its action on the identity stack."""
-    if name not in ("S", "N", "NS", "S0invS"):
-        raise ValueError(f"unknown operator name {name!r}; expected S, N, NS or S0invS")
     if grid.n > DENSE_CAP:
-        raise ValueError(f"dense assembly capped at {DENSE_CAP}")
-    s = build_S_matrix(arc, k, grid)
-    return operator_action(name, n_frame(arc, k, grid), s.entries)(np.eye(grid.n)).T
+        raise ValueError(f"dense assembly capped at {DENSE_CAP}, requested {grid.n}")
+    return np.column_stack([op(e) for e in np.eye(grid.n, dtype=complex)])

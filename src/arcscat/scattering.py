@@ -54,7 +54,7 @@ from .grids import (
     theta_grid,
     values_from_coeffs,
 )
-from .linalg import SolveReport, gmres
+from .linalg import DENSE_CAP, SolveReport, gmres
 from .operators import (
     NFrame,
     OperatorMatrix,
@@ -139,12 +139,8 @@ def tm_data(points: np.ndarray, normals: np.ndarray, inc: Incidence) -> np.ndarr
 @dataclass(frozen=True)
 class _Discretization:
     """The incidence-independent part of a solve: S and the N frame of
-    one (arc, k, grid), with the builder that assembled S."""
+    the (arc, k, grid) S records, with the builder that assembled S."""
 
-    arc: Arc
-    k: float
-    n: int
-    nodes: np.ndarray
     builder: object
     s: OperatorMatrix
     frame: NFrame
@@ -153,8 +149,7 @@ class _Discretization:
         # Arc identity, not equality: Arc.__eq__ ignores the
         # parameterization callables.  A builder since replaced (patched
         # or instrumented) must assemble its own S.
-        return (self.arc is arc and self.k == k and self.n == grid.n
-                and np.array_equal(self.nodes, grid.nodes)
+        return (self.s.arc is arc and self.s.k == k and self.s.n == grid.n
                 and self.builder is build_S_matrix)
 
 
@@ -167,8 +162,8 @@ _last: Optional[_Discretization] = None
 
 def _discretize(arc: Arc, k: float, grid: ThetaGrid):
     """S (read-only) and the N frame of (arc, k, grid), reused from the
-    previous solve when it ran on the same discretization, with the
-    seconds spent assembling S (0.0 on reuse)."""
+    previous solve or ``dense_operator`` when it ran on the same
+    discretization, with the seconds spent assembling S (0.0 on reuse)."""
     global _last
     last = _last
     if last is not None and last.matches(arc, k, grid):
@@ -182,8 +177,7 @@ def _discretize(arc: Arc, k: float, grid: ThetaGrid):
     mat_seconds = time.perf_counter() - start
     s.entries.flags.writeable = False
     frame = n_frame(arc, k, grid)
-    _last = _Discretization(arc=arc, k=k, n=grid.n, nodes=grid.nodes.copy(),
-                            builder=builder, s=s, frame=frame)
+    _last = _Discretization(builder=builder, s=s, frame=frame)
     return s, frame, mat_seconds
 
 
@@ -198,10 +192,10 @@ def solve(formulation: str, arc: Arc, inc: Incidence, grid: ThetaGrid,
 
     S and the N frame depend on the arc, k and the grid, not on the
     incidence or the formulation, so a solve on the same ``arc`` object,
-    the same k and a grid with the same nodes as the previous solve
-    reuses them and reports ``mat_seconds`` = 0.0.  The last S stays
-    resident until a solve on another discretization replaces it (655 MB
-    at N = 6400); it is read-only, and every Solution on it shares it.
+    k and grid size as the last solve or ``dense_operator`` reuses them
+    and reports ``mat_seconds`` = 0.0.  The last S stays resident until
+    a solve on another discretization replaces it (655 MB at N = 6400);
+    it is read-only, and every Solution on it shares it.
 
     Returns a Solution whose ``report`` carries the iteration count and
     residual history; ``report.converged`` is False when maxit was hit.
@@ -217,20 +211,25 @@ def solve(formulation: str, arc: Arc, inc: Incidence, grid: ThetaGrid,
         b = tm_data(frame.points, frame.normals, inc)
     if formulation == "TE_NS":
         b = operator_action("N", frame, s.entries)(b)
-
-    if np.linalg.norm(b) == 0.0:
-        # identically dark data (e.g. TM on the strip at horizontal
-        # incidence): the density is exactly zero
-        report = SolveReport(iterations=0, residuals=[], converged=True,
-                             elapsed=0.0, n=grid.n, final_residual=0.0)
-        return Solution(formulation=formulation, density=b, report=report, arc=arc, k=k,
-                        grid=grid, incidence=inc, s_matrix=s, frame=frame,
-                        mat_seconds=mat_seconds)
-
     x, report = gmres(action, b, tol=tol, maxit=maxit)
     return Solution(formulation=formulation, density=x, report=report, arc=arc, k=k,
                     grid=grid, incidence=inc, s_matrix=s, frame=frame,
                     mat_seconds=mat_seconds)
+
+
+def dense_operator(name: str, arc: Arc, k: float, grid: ThetaGrid) -> np.ndarray:
+    """Dense matrix of ``operator_action(name, ...)``, the action GMRES
+    applies, on the S and frame a solve on (arc, k, grid) shares and
+    leaves resident: for ``"S"`` that read-only S itself, else the action
+    on the identity stack.  Name and size are checked before S is built."""
+    if name not in _OPERATORS.values():
+        raise ValueError(f"unknown operator name {name!r}; expected S, N, NS or S0invS")
+    if grid.n > DENSE_CAP:
+        raise ValueError(f"dense assembly capped at {DENSE_CAP}, requested {grid.n}")
+    s, frame, _ = _discretize(arc, k, grid)
+    if name == "S":
+        return s.entries
+    return operator_action(name, frame, s.entries)(np.eye(grid.n)).T
 
 
 def te_layer_density(sol: Solution) -> np.ndarray:

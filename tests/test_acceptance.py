@@ -25,7 +25,6 @@ from arcscat.operators import (
     assemble_dense,
     build_log_quad,
     build_S_matrix,
-    dense_operator,
     j0_apply_values,
     log_quad_matrix,
     n0_apply_values,
@@ -36,6 +35,7 @@ from arcscat.operators import (
 )
 from arcscat.scattering import (
     Incidence,
+    dense_operator,
     far_field,
     far_field_error,
     recover_nu,

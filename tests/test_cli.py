@@ -138,6 +138,22 @@ def test_spectrum_outputs(tmp_path):
     assert np.mean(np.abs(lam + 0.25) < 0.35) >= 0.70
 
 
+def test_spectrum_builds_s_once(tmp_path, monkeypatch):
+    sizes = []
+    real = scattering.build_S_matrix
+
+    def counting(arc, k, grid):
+        sizes.append(grid.n)
+        return real(arc, k, grid)
+
+    monkeypatch.setattr(scattering, "build_S_matrix", counting)
+    out = tmp_path / "eigs"
+    assert run(["spectrum", "--arc", "spiral", "--ratio", "5", "--n", "64",
+                "--form", "S,N,NS,ATK", "--out", str(out)]) == 0
+    assert sizes == [64]
+    assert all((out / f"eigs_{name}.csv").exists() for name in ("S", "N", "NS", "S0invS"))
+
+
 def test_spectrum_atk_maps_to_s0invs(tmp_path):
     out = tmp_path / "eigs"
     run(["spectrum", "--arc", "strip", "--ratio", "5", "--n", "64",

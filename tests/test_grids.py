@@ -6,6 +6,7 @@ import pytest
 
 from arcscat.geometry import make_arc, speed
 from arcscat.grids import (
+    ThetaGrid,
     chebyshev_derivative_coeffs,
     coeffs_from_values,
     d0_values,
@@ -32,6 +33,22 @@ def test_admissible_sizes():
         assert is_admissible(n)
     for n in (1, 2, 3, 7, 14, 22, 3100, 3350):
         assert not is_admissible(n)
+
+
+def test_grids_of_one_size_are_equal():
+    assert theta_grid(8) == theta_grid(8)
+    assert hash(theta_grid(8)) == hash(theta_grid(8))
+    assert theta_grid(8) != theta_grid(16)
+    with pytest.raises(TypeError):
+        ThetaGrid(8, nodes=np.zeros(8))
+
+
+@pytest.mark.parametrize("n", [4, 400, 6400])
+def test_grid_nodes_are_the_cosine_nodes_bitwise(n):
+    j = np.arange(n)
+    nodes = theta_grid(n).nodes
+    assert nodes.tobytes() == (np.pi * (2.0 * j + 1.0) / (2.0 * n)).tobytes()
+    assert not nodes.flags.writeable
 
 
 def test_nearest_admissible():

@@ -6,10 +6,11 @@ import pytest
 
 from arcscat.geometry import make_arc, wavenumber_for_ratio
 from arcscat.grids import theta_grid
+import arcscat.linalg as linalg
 from arcscat.linalg import GmresError, eig_dense, gmres
-from arcscat.operators import (assemble_dense, dense_operator, j0_apply_values, n_frame,
-                               s0_apply_values, s0_eigenvalues)
-from arcscat.scattering import Incidence, tm_data
+from arcscat.operators import (assemble_dense, j0_apply_values, n_frame, s0_apply_values,
+                               s0_eigenvalues)
+from arcscat.scattering import Incidence, dense_operator, tm_data
 
 
 def test_gmres_identity_one_iteration():
@@ -68,10 +69,15 @@ def test_gmres_non_convergence_reported():
 
 
 def test_gmres_input_validation():
-    with pytest.raises(ValueError):
-        gmres(lambda u: u, np.zeros(4, dtype=complex))
+    x, rep = gmres(lambda u: pytest.fail("A was applied"), np.zeros(4, dtype=complex))
+    assert np.array_equal(x, np.zeros(4, dtype=complex))
+    assert (rep.iterations, rep.residuals, rep.converged, rep.final_residual) == (0, [], True, 0.0)
     with pytest.raises(ValueError):
         gmres(lambda u: u, np.ones(4, dtype=complex), tol=2.0)
+    with pytest.raises(ValueError, match="tol"):
+        gmres(lambda u: u, np.zeros(4, dtype=complex), tol=2.0)
+    with pytest.raises(ValueError, match="maxit"):
+        gmres(lambda u: u, np.zeros(4, dtype=complex), maxit=0)
     with pytest.raises(GmresError):
         gmres(lambda u: u * np.nan, np.ones(4, dtype=complex))
 
@@ -167,7 +173,7 @@ def test_gmres_cgs2_matches_mgs_on_long_run():
 def test_eig_upper_triangular():
     rng = np.random.default_rng(6)
     a = np.triu(rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12)))
-    lam = np.sort_complex(eig_dense(a, check=False))
+    lam = np.sort_complex(eig_dense(a))
     assert np.max(np.abs(lam - np.sort_complex(np.diag(a)))) < 1e-12
 
 
@@ -209,8 +215,9 @@ def test_eig_invariant_under_unitary_similarity():
         assert np.min(np.abs(lam2 - v)) < 1e-8
 
 
-def test_eig_validation():
+def test_eig_validation(monkeypatch):
     with pytest.raises(ValueError):
         eig_dense(np.ones((3, 4)))
+    monkeypatch.setattr(linalg, "DENSE_CAP", 4)
     with pytest.raises(ValueError):
-        eig_dense(np.eye(8), cap=4)
+        eig_dense(np.eye(8))

@@ -21,6 +21,7 @@ from scipy import special
 from scipy.integrate import quad
 
 import arcscat.operators as operators
+import arcscat.scattering as scattering
 import arcscat.specfun as specfun
 
 from arcscat.geometry import eval_arc, make_arc, speed, wavenumber_for_ratio
@@ -38,7 +39,6 @@ from arcscat.operators import (
     build_log_quad,
     build_S_matrix,
     c_apply_values,
-    dense_operator,
     j0_apply_values,
     log_quad_matrix,
     n0_apply_values,
@@ -51,7 +51,7 @@ from arcscat.operators import (
     s0_solve_values,
     s0tau_solve_values,
 )
-from arcscat.scattering import Incidence, solve, tm_data
+from arcscat.scattering import Incidence, dense_operator, solve, tm_data
 from arcscat.specfun import _a2_diagonal
 
 
@@ -615,10 +615,10 @@ def test_assemble_identity():
     assert np.array_equal(mat, np.eye(16, dtype=complex))
 
 
-def test_assemble_cap():
-    g = theta_grid(32)
+def test_assemble_cap(monkeypatch):
+    monkeypatch.setattr(operators, "DENSE_CAP", 16)
     with pytest.raises(ValueError):
-        assemble_dense(lambda v: v, g, cap=16)
+        assemble_dense(lambda v: v, theta_grid(32))
 
 
 def test_assemble_s0_transform_conjugation():
@@ -741,6 +741,13 @@ def test_dense_operator_names():
 
 
 def test_dense_operator_rejects_an_unknown_name_before_building_s(monkeypatch):
-    monkeypatch.setattr(operators, "build_S_matrix", lambda *args: pytest.fail("S was built"))
+    monkeypatch.setattr(scattering, "build_S_matrix", lambda *args: pytest.fail("S was built"))
     with pytest.raises(ValueError, match="unknown operator name"):
         dense_operator("Q", make_arc("strip"), 1.0, theta_grid(16))
+
+
+def test_dense_operator_rejects_n_above_the_cap_before_building_s(monkeypatch):
+    monkeypatch.setattr(scattering, "build_S_matrix", lambda *args: pytest.fail("S was built"))
+    assert 4320 > scattering.DENSE_CAP
+    with pytest.raises(ValueError, match="capped"):
+        dense_operator("S", make_arc("strip"), 1.0, theta_grid(4320))

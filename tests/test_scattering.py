@@ -24,6 +24,7 @@ from arcscat.scattering import (
     FORMULATIONS,
     Incidence,
     Solution,
+    dense_operator,
     far_field,
     far_field_error,
     incident_field,
@@ -98,6 +99,20 @@ def test_rhs_tm_strip_horizontal_identically_zero():
     g = theta_grid(64)
     gvec = node_tm_data(arc, Incidence(0.0, 31.4), g)
     assert np.max(np.abs(gvec)) == 0.0
+
+
+def test_dark_tm_solve_gives_the_zero_density():
+    sol = solve("TM_N", make_arc("strip"), Incidence(0.0, 5.0), theta_grid(32))
+    assert np.array_equal(sol.density, np.zeros(32))
+    report = sol.report
+    assert (report.iterations, report.converged, report.final_residual) == (0, True, 0.0)
+    assert np.max(np.abs(far_field(sol, 36).values)) == 0.0
+
+
+@pytest.mark.parametrize("options", [{"tol": 7.0}, {"maxit": -3}], ids=["tol", "maxit"])
+def test_dark_tm_solve_validates_tol_and_maxit(options):
+    with pytest.raises(ValueError):
+        solve("TM_N", make_arc("strip"), Incidence(0.0, 5.0), theta_grid(32), **options)
 
 
 def test_rhs_tm_bounded_by_k():
@@ -852,6 +867,23 @@ def test_which_changes_rebuild_s(builds, monkeypatch, change, rebuilds):
     sol = solve(form, arc, Incidence(angle, k), theta_grid(n))
     assert len(builds) == (2 if rebuilds else 1)
     assert (sol.mat_seconds == 0.0) is not rebuilds
+
+
+def test_dense_s_is_the_solves_s(builds):
+    arc, g = make_arc("spiral"), theta_grid(64)
+    sol = solve("TE_S", arc, Incidence(60.0, 3.0), g)
+    dense = dense_operator("S", arc, 3.0, g)
+    assert dense is sol.s_matrix.entries
+    assert not dense.flags.writeable
+    assert builds == [64]
+
+
+def test_solve_after_dense_operator_reuses_s(builds):
+    arc, g = make_arc("spiral"), theta_grid(64)
+    dense_operator("NS", arc, 3.0, g)
+    sol = solve("TM_NS", arc, Incidence(60.0, 3.0), g)
+    assert sol.mat_seconds == 0.0
+    assert builds == [64]
 
 
 def test_reused_s_is_read_only():
