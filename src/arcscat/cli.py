@@ -131,6 +131,10 @@ def cmd_solve(args) -> int:
     formulation = _formulation(args)
     sol = _run_solve(formulation, arc, inc, grid, args)
     ff = far_field(sol, args.obs)
+    # keep what the outputs need and drop the solution, so that its S can
+    # be freed before the reference solve builds the S of 2n
+    density, report, mat_seconds = sol.density, sol.report, sol.mat_seconds
+    del sol
 
     eps_r = None
     if args.self_check:
@@ -143,22 +147,22 @@ def cmd_solve(args) -> int:
                 for a, v in zip(ff.angles_deg, ff.values)))
     _write_csv(out / "density.csv", "theta,re,im",
                ([_fmt(t), _fmt(v.real), _fmt(v.imag)]
-                for t, v in zip(grid.nodes, sol.density)))
+                for t, v in zip(grid.nodes, density)))
     lines = [
         f"formulation: {formulation}",
         f"n: {grid.n}",
         f"k: {_fmt(k)}",
         f"L_over_lambda: {_fmt(k * arc.length / (2.0 * np.pi))}",
-        f"iterations: {sol.report.iterations}",
-        f"final_residual: {_fmt(sol.report.final_residual)}",
-        f"mat_seconds: {_fmt(sol.mat_seconds)}",
-        f"solve_seconds: {_fmt(sol.report.elapsed)}",
+        f"iterations: {report.iterations}",
+        f"final_residual: {_fmt(report.final_residual)}",
+        f"mat_seconds: {_fmt(mat_seconds)}",
+        f"solve_seconds: {_fmt(report.elapsed)}",
     ]
     if eps_r is not None:
         lines.append(f"eps_r_estimate: {_fmt(eps_r)}")
     (out / "report.txt").write_text("\n".join(lines) + "\n")
-    print(f"{formulation}: n={grid.n} iterations={sol.report.iterations} "
-          f"residual={sol.report.final_residual:.3e}")
+    print(f"{formulation}: n={grid.n} iterations={report.iterations} "
+          f"residual={report.final_residual:.3e}")
     return 0
 
 

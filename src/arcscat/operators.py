@@ -24,19 +24,21 @@ k^2 sin^2 theta) and the Nystrom matrix S.  There are three groups.
   where R_j(theta_n) = r(|n-j|) + r(n+j+1) and the length-2N vector r
   is produced by a single FFT, so the N x N matrix assembles in
   O(N^2 log N).  S = K diag(w) with a kernel K that is symmetric to the
-  last bit, so K is evaluated on the upper triangle only and mirrored;
-  above N = 2048 its J0/Y0 evaluation runs on a thread pool sized to
-  the usable cores.
+  last bit, so K is evaluated on the upper triangle only and stored
+  once, as packed upper row blocks; above N = 2048 its J0/Y0 evaluation
+  runs on a thread pool sized to the usable cores.
 
 * The hypersingular action N v = Ng v + (1/tau) D0 S T0_tau v
   (``n_apply``), applied as dense matvecs interleaved with fast
   transforms; the second-kind composition is n_apply of S v.  The
   smooth part Ng has the S kernel times k^2 (n . n') sin^2 theta', so
   it is applied through S as Ng v = k^2 sum_{c in x, y} n_c S(n_c
-  sin^2 theta v) and never stored.  The three S products of N share one
-  pass over S by cache-sized row blocks, so N reads S from memory once
-  and NS twice.  ``operator_action`` is the one table of S, N, NS and
-  S0invS, applied by GMRES and by ``scattering.dense_operator``.
+  sin^2 theta v) and never stored.  S v = K (w v) is applied by one
+  pass over the stored row blocks of K, each serving its own rows and
+  their mirror; the three S products of N share one such pass, so N
+  reads the stored half of K from memory once and NS twice.
+  ``operator_action`` is the one table of S, N, NS and S0invS, applied
+  by GMRES and by ``scattering.dense_operator``.
 """
 
 from __future__ import annotations
@@ -69,20 +71,61 @@ from .specfun import _a1a2_offdiag, _a2_diagonal
 # temporaries (about 40 bytes an entry) fit in a 2 MiB L2, and its
 # diagonal square, evaluated whole, stays small.  Each panel ends in a
 # wait for the J0/Y0 pool, which costs milliseconds on a busy host, so
-# large N gets about 32 panels; their temporaries stay near 6 % of S.
+# large N gets about 32 panels; their temporaries stay near 12 % of the
+# stored S (6 % of a full N x N array).
 PANEL_ENTRIES = 1 << 14
-# bytes of S per row block of the N stage's blocked products
+# bytes of K per stored row block, the unit of the blocked S products
 ROW_BLOCK_BYTES = 2 << 20
+
+
+def _row_bounds(n: int) -> tuple:
+    """Row bounds 0 = r_0 < r_1 < ... = n of the stored blocks K[r0:r1, r0:]:
+    each block takes the rows that reach ``ROW_BLOCK_BYTES``, at least
+    two, and the last block takes what is left, a single row included."""
+    target = max(1, ROW_BLOCK_BYTES // 16)
+    bounds = [0]
+    while bounds[-1] < n:
+        r0 = bounds[-1]
+        r1 = min(n, r0 + max(2, -(-target // (n - r0))))
+        bounds.append(n if n - r1 == 1 else r1)
+    return tuple(bounds)
 
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """The Nystrom matrix S of one (arc, k, grid), with its provenance."""
+    """The Nystrom matrix S = K diag(weight) of one (arc, k, grid), with
+    its provenance.
+
+    K is symmetric, so only its upper row blocks K[r0:r1, r0:] are kept,
+    for consecutive bounds r0, r1 of ``rows``: ``entries`` holds them one
+    after the other, each in row order, including the whole diagonal
+    square of each block.  ``weight`` is w_j = (pi/N) tau_j."""
 
     n: int
     k: float
     arc: Arc
     entries: np.ndarray
+    weight: np.ndarray
+    rows: tuple
+
+    def blocks(self) -> list:
+        """(r0, r1, K[r0:r1, r0:]) for every stored block, the block a 2-D
+        view of ``entries``."""
+        views, start = [], 0
+        for r0, r1 in zip(self.rows, self.rows[1:]):
+            stop = start + (r1 - r0) * (self.n - r0)
+            views.append((r0, r1, self.entries[start:stop].reshape(r1 - r0, self.n - r0)))
+            start = stop
+        return views
+
+    def dense(self) -> np.ndarray:
+        """The full N x N matrix S, each entry K_ij w_j rounded once."""
+        full = np.empty((self.n, self.n), dtype=self.entries.dtype)
+        for r0, r1, block in self.blocks():
+            full[r0:r1, r0:] = block
+            full[r1:, r0:r1] = block[:, r1 - r0 :].T
+        full *= self.weight
+        return full
 
 
 @dataclass(frozen=True)
@@ -248,16 +291,19 @@ def build_S_matrix(arc: Arc, k: float, grid: ThetaGrid) -> OperatorMatrix:
     single-layer integral.  S = K diag(w) with w_j = (pi/N) tau_j, and
     the kernel K is symmetric to the last bit, because R, the distances
     and the cosine gaps are.  So K is evaluated on the upper triangle
-    only, in row panels of max(``PANEL_ENTRIES``, N^2/64) entries; each
-    panel is mirrored into the lower triangle, and both copies are
-    multiplied by w on their way into S.  J0/Y0, most of the cost, run
-    in chunks of ``specfun.A1A2_CHUNK`` entries on a thread pool sized
-    to the usable cores (no pool with one core) that lives for this
-    call; a panel of one chunk or less (every panel for N <= 2048) stays
-    on the calling thread.  Every other step, and every call into
-    another arcscat module, stays on the calling thread.  The result is bitwise
-    the same as a serial full-matrix build.  The log-rule vector comes from
-    one FFT, for an overall O(N^2 log N) build.
+    only, in row panels of max(``PANEL_ENTRIES``, N^2/64) entries, and
+    stored once, unweighted, in the row blocks of ``OperatorMatrix``
+    (sized by ``ROW_BLOCK_BYTES`` for the products, not by the panels):
+    each panel is copied into the blocks its rows fall in, and the part
+    of a block's diagonal square left of the panel is filled by a
+    transpose copy of the block's earlier rows.  J0/Y0, most of the cost,
+    run in chunks of ``specfun.A1A2_CHUNK`` entries on a thread pool
+    sized to the usable cores (no pool with one core) that lives for
+    this call; a panel of one chunk or less (every panel for N <= 2048)
+    stays on the calling thread.  Every other step, and every call into
+    another arcscat module, stays on the calling thread.  ``dense()``
+    is bitwise the same as a serial full-matrix build.  The log-rule
+    vector comes from one FFT, for an overall O(N^2 log N) build.
     """
     if not np.isfinite(k):
         raise ValueError("build_S_matrix requires a finite wavenumber")
@@ -269,10 +315,13 @@ def build_S_matrix(arc: Arc, k: float, grid: ThetaGrid) -> OperatorMatrix:
     points, _, _, tau = eval_arc(arc, x)
     px, py = np.ascontiguousarray(points[:, 0]), np.ascontiguousarray(points[:, 1])
     r = build_log_quad(grid)
-    weight = (np.pi / n) * tau
     a2_diag = _a2_diagonal(k, tau)
 
-    entries = np.empty((n, n), dtype=complex)
+    rows = _row_bounds(n)
+    size = sum((r1 - r0) * (n - r0) for r0, r1 in zip(rows, rows[1:]))
+    s = OperatorMatrix(n=n, k=k, arc=arc, entries=np.empty(size, dtype=complex),
+                       weight=(np.pi / n) * tau, rows=rows)
+    blocks = s.blocks()
     # usable cores; platforms without affinity masks report every core
     workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                else os.cpu_count() or 1)
@@ -281,63 +330,68 @@ def build_S_matrix(arc: Arc, k: float, grid: ThetaGrid) -> OperatorMatrix:
         while lo < n:
             hi = min(n, lo + max(1, panel // (n - lo)))
             kernel = _kernel_panel(k, x, px, py, r, a2_diag[lo:hi], lo, hi, pool)
-            np.multiply(kernel, weight[lo:], out=entries[lo:hi, lo:])
-            np.multiply(kernel[:, hi - lo :].T, weight[lo:hi], out=entries[hi:, lo:hi])
+            for r0, r1, block in blocks:
+                a, b = max(r0, lo), min(r1, hi)
+                if a < b:
+                    block[a - r0 : b - r0, a - r0 :] = kernel[a - lo : b - lo, a - lo :]
+                    block[a - r0 : b - r0, : a - r0] = block[: a - r0, a - r0 : b - r0].T
             lo = hi
-    return OperatorMatrix(n=n, k=k, arc=arc, entries=entries)
+    return s
 
 
-def _s_products(s_entries: np.ndarray, vectors) -> np.ndarray:
+def _s_products(s: OperatorMatrix, vectors) -> np.ndarray:
     """Entry i of the result is S applied to vectors[i], a density or a
-    stack of densities along the last axis, computed in one pass over S
-    by near-equal row blocks of ``ROW_BLOCK_BYTES`` to twice that: each
+    stack of densities along the last axis: K (w v) in one pass over the
+    stored blocks of K.  Block K[r0:r1, r0:] gives rows r0..r1-1 of the
+    product, and its part right of the diagonal square, transposed, adds
+    to the rows below.  The blocks are walked from the last one up, so
+    each block's rows are set before the blocks above add to them.  Each
     block is read from memory once and stays in L2 for the other
-    products.  A block product computes every row as the full product
-    does, so the result is bitwise the same; only a one-row block would
-    take another BLAS path, so every block has at least two rows."""
-    n = s_entries.shape[0]
-    out = np.empty((len(vectors), *vectors[0].shape), dtype=np.result_type(s_entries, *vectors))
-    blocks = max(1, min(n // 2, s_entries.nbytes // ROW_BLOCK_BYTES))
-    for b in range(blocks):
-        rows = slice(n * b // blocks, n * (b + 1) // blocks)
-        block = s_entries[rows]
-        for y, v in zip(out, vectors):
-            y[..., rows] = (block @ v.T).T
+    products."""
+    us = [(s.weight * v).T for v in vectors]
+    out = np.empty((len(vectors), *vectors[0].shape), dtype=complex)
+    ys = [y.T for y in out]
+    for r0, r1, block in reversed(s.blocks()):
+        mirror = block[:, r1 - r0 :].T
+        for y, u in zip(ys, us):
+            y[r0:r1] = block @ u[r0:]
+            if r1 < s.n:
+                y[r1:] += mirror @ u[r0:r1]
     return out
 
 
-def _n_terms(frame: NFrame, s_entries: np.ndarray, values: np.ndarray):
+def _n_terms(frame: NFrame, s: OperatorMatrix, values: np.ndarray):
     """The two terms of N v: the smooth part
     Ng v = k^2 sum_c n_c S(n_c sin^2 theta v) and (1/tau) D0 S T0_tau v.
     Their three S products share one blocked pass over S."""
     w = frame.ng_weight * values
     normals = frame.normals.T
-    *ng_products, pv = _s_products(s_entries, [*(n_c * w for n_c in normals),
-                                               t0_values(values) / frame.tau])
+    *ng_products, pv = _s_products(s, [*(n_c * w for n_c in normals),
+                                       t0_values(values) / frame.tau])
     ng = sum(n_c * y for n_c, y in zip(normals, ng_products))
     return ng, d0_values(pv) / frame.tau
 
 
-def n_apply(frame: NFrame, s_entries: np.ndarray, values: np.ndarray) -> np.ndarray:
+def n_apply(frame: NFrame, s: OperatorMatrix, values: np.ndarray) -> np.ndarray:
     """Hypersingular pipeline Ng v + (1/tau) D0 S T0_tau v on raw samples
     (a density, or a stack of densities along the last axis)."""
-    ng, pv = _n_terms(frame, s_entries, values)
+    ng, pv = _n_terms(frame, s, values)
     return ng + pv
 
 
-def operator_action(name: str, frame: NFrame, s_entries: np.ndarray):
+def operator_action(name: str, frame: NFrame, s: OperatorMatrix):
     """The action on a density, or on a stack of densities along the last
     axis, of ``S`` (weighted single layer), ``N`` (weighted
     hypersingular), ``NS`` (second-kind composition) or ``S0invS``
     (single layer preconditioned by the inverse of S0 (tau .))."""
-    def s(values):
-        return (s_entries @ values.T).T
+    def s_apply(values):
+        return _s_products(s, [values])[0]
 
     actions = {
-        "S": s,
-        "N": lambda values: n_apply(frame, s_entries, values),
-        "NS": lambda values: n_apply(frame, s_entries, s(values)),
-        "S0invS": lambda values: s(s0tau_solve_values(frame, values)),
+        "S": s_apply,
+        "N": lambda values: n_apply(frame, s, values),
+        "NS": lambda values: n_apply(frame, s, s_apply(values)),
+        "S0invS": lambda values: s_apply(s0tau_solve_values(frame, values)),
     }
     if name not in actions:
         raise ValueError(f"unknown operator name {name!r}; expected S, N, NS or S0invS")

@@ -176,6 +176,7 @@ def _discretize(arc: Arc, k: float, grid: ThetaGrid):
     s = builder(arc, k, grid)
     mat_seconds = time.perf_counter() - start
     s.entries.flags.writeable = False
+    s.weight.flags.writeable = False
     frame = n_frame(arc, k, grid)
     _last = _Discretization(builder=builder, s=s, frame=frame)
     return s, frame, mat_seconds
@@ -186,15 +187,17 @@ def solve(formulation: str, arc: Arc, inc: Incidence, grid: ThetaGrid,
     """Run GMRES on the chosen equation, with S assembled once per
     discretization.
 
-    S is the only stored N x N matrix: the N pipeline applies its smooth
-    part Ng through S as well, so an N application costs three passes
-    over S and an NS application four.
+    S is the only stored matrix, and it keeps each entry of its
+    symmetric kernel once: the N pipeline applies its smooth part Ng
+    through S as well, and N's three S products share one pass over the
+    stored blocks, so an N application costs one pass and an NS
+    application two.
 
     S and the N frame depend on the arc, k and the grid, not on the
     incidence or the formulation, so a solve on the same ``arc`` object,
     k and grid size as the last solve or ``dense_operator`` reuses them
     and reports ``mat_seconds`` = 0.0.  The last S stays resident until
-    a solve on another discretization replaces it (655 MB at N = 6400);
+    a solve on another discretization replaces it (331 MB at N = 6400);
     it is read-only, and every Solution on it shares it.
 
     Returns a Solution whose ``report`` carries the iteration count and
@@ -204,13 +207,13 @@ def solve(formulation: str, arc: Arc, inc: Incidence, grid: ThetaGrid,
         raise ValueError(f"unknown formulation {formulation!r}; expected one of {FORMULATIONS}")
     k = inc.k
     s, frame, mat_seconds = _discretize(arc, k, grid)
-    action = operator_action(_OPERATORS[formulation], frame, s.entries)
+    action = operator_action(_OPERATORS[formulation], frame, s)
     if formulation in TE_FORMULATIONS:
         b = te_data(frame.points, inc)
     else:
         b = tm_data(frame.points, frame.normals, inc)
     if formulation == "TE_NS":
-        b = operator_action("N", frame, s.entries)(b)
+        b = operator_action("N", frame, s)(b)
     x, report = gmres(action, b, tol=tol, maxit=maxit)
     return Solution(formulation=formulation, density=x, report=report, arc=arc, k=k,
                     grid=grid, incidence=inc, s_matrix=s, frame=frame,
@@ -220,16 +223,17 @@ def solve(formulation: str, arc: Arc, inc: Incidence, grid: ThetaGrid,
 def dense_operator(name: str, arc: Arc, k: float, grid: ThetaGrid) -> np.ndarray:
     """Dense matrix of ``operator_action(name, ...)``, the action GMRES
     applies, on the S and frame a solve on (arc, k, grid) shares and
-    leaves resident: for ``"S"`` that read-only S itself, else the action
-    on the identity stack.  Name and size are checked before S is built."""
+    leaves resident: for ``"S"`` a new array ``S.dense()``, else the
+    action on the identity stack.  Name and size are checked before S is
+    built."""
     if name not in _OPERATORS.values():
         raise ValueError(f"unknown operator name {name!r}; expected S, N, NS or S0invS")
     if grid.n > DENSE_CAP:
         raise ValueError(f"dense assembly capped at {DENSE_CAP}, requested {grid.n}")
     s, frame, _ = _discretize(arc, k, grid)
     if name == "S":
-        return s.entries
-    return operator_action(name, frame, s.entries)(np.eye(grid.n)).T
+        return s.dense()
+    return operator_action(name, frame, s)(np.eye(grid.n)).T
 
 
 def te_layer_density(sol: Solution) -> np.ndarray:
@@ -246,7 +250,7 @@ def tm_layer_density(sol: Solution) -> np.ndarray:
     if sol.formulation not in TM_FORMULATIONS:
         raise ValueError(f"{sol.formulation} is not a TM solution")
     if sol.formulation == "TM_NS":
-        return sol.s_matrix.entries @ sol.density
+        return operator_action("S", sol.frame, sol.s_matrix)(sol.density)
     return sol.density
 
 

@@ -193,8 +193,8 @@ def test_criterion_05_matrix_oracle_equivalence():
     for kind in ("strip", "halfcircle"):
         arc = make_arc(kind)
         s = build_S_matrix(arc, k, g)
-        s_applied = s.entries @ np.exp(np.cos(g.nodes))
-        ng_applied = _n_terms(n_frame(arc, k, g), s.entries, np.exp(np.cos(g.nodes)))[0]
+        s_applied = s.dense() @ np.exp(np.cos(g.nodes))
+        ng_applied = _n_terms(n_frame(arc, k, g), s, np.exp(np.cos(g.nodes)))[0]
         for idx in (3, 17, 31, 44, 60):
             th_n = g.nodes[idx]
             nrm_n = eval_arc(arc, math.cos(th_n))[2]

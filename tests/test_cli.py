@@ -1,6 +1,7 @@
 """Command-line drivers: file outputs, formats and determinism."""
 
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -50,6 +51,23 @@ def test_solve_self_check_reports_eps(tmp_path):
     assert "eps_r_estimate:" in report
     eps = float(report.split("eps_r_estimate:")[1].strip())
     assert eps < 1e-8
+
+
+def test_solve_self_check_frees_the_grid_s_before_the_reference_build(tmp_path, monkeypatch):
+    real = scattering.build_S_matrix
+    built, alive_at_build = [], []
+
+    def build(arc, k, grid):
+        alive_at_build.append([ref() is not None for ref in built])
+        s = real(arc, k, grid)
+        built.append(weakref.ref(s))
+        return s
+
+    monkeypatch.setattr(scattering, "build_S_matrix", build)
+    assert run(["solve", "--arc", "strip", "--ratio", "5", "--n", "64", "--self-check",
+                "--out", str(tmp_path)]) == 0
+    assert alive_at_build == [[], [False]]
+    assert "eps_r_estimate:" in (tmp_path / "report.txt").read_text()
 
 
 def test_solve_float_format_17_digits(tmp_path):

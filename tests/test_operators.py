@@ -335,7 +335,7 @@ def test_s_matrix_against_adaptive_quadrature(kind):
     g = theta_grid(64)
     s = build_S_matrix(arc, k, g)
     dens = lambda tp: math.exp(math.cos(tp))
-    applied = s.entries @ np.exp(np.cos(g.nodes))
+    applied = s.dense() @ np.exp(np.cos(g.nodes))
     for idx in (3, 17, 31, 44, 60):
         exact = single_layer_oracle(arc, k, g.nodes[idx], dens)
         assert abs(applied[idx] - exact) / abs(exact) < 1e-9
@@ -348,15 +348,15 @@ def test_ng_matrix_against_adaptive_quadrature(kind):
     g = theta_grid(64)
     s = build_S_matrix(arc, k, g)
     dens = lambda tp: math.exp(math.cos(tp))
-    applied = _n_terms(n_frame(arc, k, g), s.entries, np.exp(np.cos(g.nodes)))[0]
+    applied = _n_terms(n_frame(arc, k, g), s, np.exp(np.cos(g.nodes)))[0]
     for idx in (3, 17, 31, 44, 60):
         exact = smooth_hypersingular_oracle(arc, k, g.nodes[idx], dens)
         assert abs(applied[idx] - exact) / abs(exact) < 1e-9
 
 
 def test_s_matrix_strip_symmetric():
-    s = build_S_matrix(make_arc("strip"), 2.0 * np.pi, theta_grid(64))
-    assert np.max(np.abs(s.entries - s.entries.T)) < 1e-12
+    s = build_S_matrix(make_arc("strip"), 2.0 * np.pi, theta_grid(64)).dense()
+    assert np.max(np.abs(s - s.T)) < 1e-12
 
 
 def test_s_matrix_self_convergence():
@@ -365,8 +365,8 @@ def test_s_matrix_self_convergence():
     arc = make_arc("strip")
     k = 2.0 * np.pi
     g32, g64 = theta_grid(32), theta_grid(64)
-    out32 = build_S_matrix(arc, k, g32).entries @ np.ones(32)
-    out64 = build_S_matrix(arc, k, g64).entries @ np.ones(64)
+    out32 = build_S_matrix(arc, k, g32).dense() @ np.ones(32)
+    out64 = build_S_matrix(arc, k, g64).dense() @ np.ones(64)
     c64 = coeffs_from_values(out64)
     interp = np.array([
         np.real(c64[0]) + sum(np.real(c64[m]) * math.cos(m * t) for m in range(1, 64))
@@ -388,6 +388,68 @@ def test_s_matrix_rejects_nonfinite_k(k):
 
 
 # ---------------------------------------------------------------------------
+# packed storage of the symmetric kernel and its blocked products
+# ---------------------------------------------------------------------------
+# (n, ROW_BLOCK_BYTES or None for the default, the block layout it gives)
+PACKED_CASES = [(4, None, "one block"), (6, None, "one block"), (200, None, "one block"),
+                (1200, None, "many blocks"), (64, 16, "last block of 2 rows"),
+                (45, 16, "last block of 3 rows")]
+
+
+@pytest.mark.parametrize("n,block_bytes,layout", PACKED_CASES)
+def test_packed_products_match_the_dense_s(monkeypatch, n, block_bytes, layout):
+    if block_bytes is not None:
+        monkeypatch.setattr(operators, "ROW_BLOCK_BYTES", block_bytes)
+    arc = make_arc("spiral")
+    k = wavenumber_for_ratio(arc, 10.0)
+    g = theta_grid(n)
+    s = build_S_matrix(arc, k, g)
+    heights = np.diff(s.rows)
+    assert s.rows[0] == 0 and s.rows[-1] == n and heights.min() >= 2
+    assert s.entries.shape == (sum(h * (n - r0) for h, r0 in zip(heights, s.rows)),)
+    if layout == "one block":
+        assert len(heights) == 1
+    elif layout == "many blocks":
+        assert len(heights) >= 5
+    else:
+        assert len(heights) > 10 and heights[-1] == int(layout.split()[-2])
+    dense = s.dense()
+    action = operator_action("S", n_frame(arc, k, g), s)
+    v = rand_dv(g, 21)
+    stack = np.array([rand_dv(g, seed) for seed in range(3)])
+    for x in (v, stack):
+        expect = (dense @ x.T).T
+        for got in (operators._s_products(s, [x])[0], action(x)):
+            assert got.shape == x.shape
+            assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
+
+
+def test_packed_s_keeps_little_more_than_half_the_full_matrix():
+    n = 2048
+    arc = make_arc("spiral")
+    s = build_S_matrix(arc, wavenumber_for_ratio(arc, 100.0), theta_grid(n))
+    assert s.entries.nbytes <= 0.55 * 16 * n ** 2
+
+
+def test_s_build_evaluates_the_kernel_in_l2_sized_panels(monkeypatch):
+    # the stored blocks are sized for the products, the panels for the
+    # J0/Y0 temporaries: their evaluations stay those of the 16384-entry
+    # panels, diagonal squares included
+    sizes = []
+    real = operators._a1a2_offdiag
+
+    def counting(k, dist, dcos, pool):
+        sizes.append(dist.size)
+        return real(k, dist, dcos, pool)
+
+    monkeypatch.setattr(operators, "_a1a2_offdiag", counting)
+    arc = make_arc("strip")
+    build_S_matrix(arc, wavenumber_for_ratio(arc, 20.0), theta_grid(512))
+    assert sum(sizes) == 147260
+    assert max(sizes) <= operators.PANEL_ENTRIES
+
+
+# ---------------------------------------------------------------------------
 # triangle assembly on a thread pool, against the serial full-matrix loop
 # ---------------------------------------------------------------------------
 # panels hold PANEL_ENTRIES entries up to N = 1024 and N^2/64 beyond it
@@ -398,7 +460,7 @@ def test_s_matrix_bitwise_equals_full_matrix_loop(kind, n):
     arc = make_arc(kind)
     k = wavenumber_for_ratio(arc, 20.0)
     g = theta_grid(n)
-    assert same_bits(build_S_matrix(arc, k, g).entries, reference_s_entries(arc, k, g))
+    assert same_bits(build_S_matrix(arc, k, g).dense(), reference_s_entries(arc, k, g))
 
 
 def spiral_case(n=400):
@@ -430,7 +492,7 @@ def test_s_matrix_bitwise_under_fast_thread_switching(monkeypatch):
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        entries = build_S_matrix(arc, k, g).entries
+        entries = build_S_matrix(arc, k, g).dense()
     finally:
         sys.setswitchinterval(old)
     assert same_bits(entries, reference_s_entries(arc, k, g))
@@ -478,7 +540,7 @@ def test_s_matrix_on_one_core_starts_no_thread(monkeypatch):
     monkeypatch.setattr(specfun, "special", recording_j0(calls))
     before = threading.active_count()
     arc, k, g = spiral_case()
-    entries = build_S_matrix(arc, k, g).entries
+    entries = build_S_matrix(arc, k, g).dense()
     assert calls
     assert all(t is threading.current_thread() and count == before for t, count in calls)
     assert same_bits(entries, reference_s_entries(arc, k, g))
@@ -492,8 +554,8 @@ def test_ng_strip_entrywise_relation():
     g = theta_grid(32)
     s = build_S_matrix(arc, k, g)
     v = rand_dv(g, 4)
-    got = _n_terms(n_frame(arc, k, g), s.entries, v)[0]
-    expect = s.entries @ (k * k * np.sin(g.nodes) ** 2 * v)
+    got = _n_terms(n_frame(arc, k, g), s, v)[0]
+    expect = s.dense() @ (k * k * np.sin(g.nodes) ** 2 * v)
     assert np.max(np.abs(got - expect)) < 1e-13 * np.max(np.abs(expect))
 
 
@@ -503,21 +565,23 @@ def test_ng_k_squared_prefactor():
     ratios = []
     for k in (1.0, 3.0):
         s = build_S_matrix(arc, k, g)
-        ng = np.column_stack([_n_terms(n_frame(arc, k, g), s.entries, e)[0] for e in np.eye(g.n)])
-        ratios.append(ng / s.entries / (k * k))
+        ng = np.column_stack([_n_terms(n_frame(arc, k, g), s, e)[0] for e in np.eye(g.n)])
+        ratios.append(ng / s.dense() / (k * k))
     assert np.max(np.abs(ratios[0] - ratios[1])) < 1e-12
 
 
 # ---------------------------------------------------------------------------
 # composed pipelines
 # ---------------------------------------------------------------------------
-def test_apply_n_zero_frequency_factorization():
+def test_apply_n_zero_frequency_factorization(monkeypatch):
     # with the dense flat-arc log operator in place of S at k = 0 (no
     # smooth part), the pipeline reduces to D0 S0 T0 (top mode excluded:
     # it is invisible to a nodal matrix)
     g = theta_grid(64)
     arc = make_arc("strip")
     s0 = assemble_dense(s0_apply_values, g)
+    monkeypatch.setattr(operators, "_s_products",
+                        lambda s, vectors: np.array([(s @ v.T).T for v in vectors]))
     frame = n_frame(arc, 0.0, g)
     for n in range(63):
         e = dv(np.cos(n * g.nodes))
@@ -528,26 +592,26 @@ def test_apply_n_zero_frequency_factorization():
 
 @pytest.mark.parametrize("n", [64, 1200, 1600])
 def test_n_stage_bitwise_equals_separate_products(n):
-    # the blocked pass must reproduce the three full S products; at
-    # N = 1200 fixed 2 MiB blocks would leave a one-row tail, whose
-    # product rounds differently
+    # the shared blocked pass must reproduce three separate S products;
+    # S is stored in 1, 7 and 11 blocks
     arc = make_arc("spiral")
     k = wavenumber_for_ratio(arc, n / 8.0)
     g = theta_grid(n)
-    s = build_S_matrix(arc, k, g).entries
+    s, frame = build_S_matrix(arc, k, g), n_frame(arc, k, g)
+    apply_s = operator_action("S", frame, s)
     v = rand_dv(g, 12)
     _, _, normals, tau = eval_arc(arc, np.cos(g.nodes))
     w = (k * k) * np.sin(g.nodes) ** 2 * v
-    expect = (sum(n_c * (s @ (n_c * w)) for n_c in normals.T)
-              + d0_values(s @ (t0_values(v) / tau)) / tau)
-    assert same_bits(n_apply(n_frame(arc, k, g), s, v), expect)
+    expect = (sum(n_c * apply_s(n_c * w) for n_c in normals.T)
+              + d0_values(apply_s(t0_values(v) / tau)) / tau)
+    assert same_bits(n_apply(frame, s, v), expect)
 
 
 def test_apply_n_linearity():
     arc = make_arc("spiral")
     k = 3.0
     g = theta_grid(48)
-    s, frame = build_S_matrix(arc, k, g).entries, n_frame(arc, k, g)
+    s, frame = build_S_matrix(arc, k, g), n_frame(arc, k, g)
     u, v = rand_dv(g, 7), rand_dv(g, 8)
     a, b = 0.3 + 1.1j, -2.0 + 0.4j
     lhs = n_apply(frame, s, a * u + b * v)
@@ -559,12 +623,12 @@ def test_apply_ns_linearity():
     arc = make_arc("strip")
     k = 2.0
     g = theta_grid(32)
-    s, frame = build_S_matrix(arc, k, g).entries, n_frame(arc, k, g)
+    s, frame = build_S_matrix(arc, k, g), n_frame(arc, k, g)
     u, v = rand_dv(g, 9), rand_dv(g, 10)
     a, b = 1.7 - 0.3j, 0.2 + 0.9j
 
     def ns(x):
-        return n_apply(frame, s, s @ x)
+        return n_apply(frame, s, operator_action("S", frame, s)(x))
 
     lhs = ns(a * u + b * v)
     rhs = a * ns(u) + b * ns(v)
@@ -601,7 +665,7 @@ def test_tm_residual_end_to_end():
     sol = solve("TM_N", arc, inc, g, tol=tol)
     frame = n_frame(arc, k, g)
     rhs = tm_data(frame.points, frame.normals, inc)
-    resid = n_apply(frame, sol.s_matrix.entries, sol.density) - rhs
+    resid = n_apply(frame, sol.s_matrix, sol.density) - rhs
     rel = np.max(np.abs(resid)) / np.max(np.abs(rhs))
     assert rel < 10 * tol
 
@@ -645,15 +709,16 @@ def test_assemble_ns_associativity(kind):
     k = 2.0
     g = theta_grid(32)
     s, frame = build_S_matrix(arc, k, g), n_frame(arc, k, g)
+    dense = s.dense()
     eye = np.eye(g.n)
-    ng = (k * k) * (frame.normals @ frame.normals.T) * np.sin(g.nodes) ** 2 * s.entries
-    pv = d0_values(eye).T @ s.entries @ (t0_values(eye) / frame.tau).T
+    ng = (k * k) * (frame.normals @ frame.normals.T) * np.sin(g.nodes) ** 2 * dense
+    pv = d0_values(eye).T @ dense @ (t0_values(eye) / frame.tau).T
     nd = ng + pv / frame.tau[:, None]
-    piped_n = assemble_dense(lambda v: n_apply(frame, s.entries, v), g)
+    piped_n = assemble_dense(lambda v: n_apply(frame, s, v), g)
     assert np.max(np.abs(piped_n - nd)) < 1e-11
     assert np.max(np.abs(dense_operator("N", arc, k, g) - nd)) < 1e-11
-    piped = assemble_dense(lambda v: n_apply(frame, s.entries, s.entries @ v), g)
-    product = nd @ s.entries
+    piped = assemble_dense(lambda v: n_apply(frame, s, dense @ v), g)
+    product = nd @ dense
     assert np.max(np.abs(piped - product)) < 1e-11
     assert np.max(np.abs(dense_operator("NS", arc, k, g) - product)) < 1e-11
 
@@ -664,7 +729,7 @@ def test_operator_action_on_a_stack_matches_single_densities(kind, name):
     arc = make_arc(kind)
     k = wavenumber_for_ratio(arc, 4.0)
     g = theta_grid(64)
-    action = operator_action(name, n_frame(arc, k, g), build_S_matrix(arc, k, g).entries)
+    action = operator_action(name, n_frame(arc, k, g), build_S_matrix(arc, k, g))
     stack = np.array([rand_dv(g, seed) for seed in range(5)])
     rows = np.array([action(v) for v in stack])
     got = action(stack)
@@ -675,7 +740,7 @@ def test_operator_action_on_a_stack_matches_single_densities(kind, name):
 def test_operator_action_rejects_an_unknown_name():
     arc, g = make_arc("strip"), theta_grid(16)
     with pytest.raises(ValueError, match="unknown operator name"):
-        operator_action("Q", n_frame(arc, 1.0, g), build_S_matrix(arc, 1.0, g).entries)
+        operator_action("Q", n_frame(arc, 1.0, g), build_S_matrix(arc, 1.0, g))
 
 
 def test_discrete_calderon_identity():
@@ -692,7 +757,7 @@ def test_first_kind_smallest_singular_value_decays():
     smin = []
     for n in (64, 128, 256):
         s = build_S_matrix(arc, k, theta_grid(n))
-        smin.append(np.linalg.svd(s.entries, compute_uv=False)[-1])
+        smin.append(np.linalg.svd(s.dense(), compute_uv=False)[-1])
     assert smin[0] > smin[1] > smin[2]
 
 
