@@ -131,11 +131,6 @@ def cmd_solve(args) -> int:
     formulation = _formulation(args)
     sol = _run_solve(formulation, arc, inc, grid, args)
     ff = far_field(sol, args.obs)
-    # keep what the outputs need and drop the solution, so that its S can
-    # be freed before the reference solve builds the S of 2n
-    density, report, mat_seconds = sol.density, sol.report, sol.mat_seconds
-    del sol
-
     eps_r = None
     if args.self_check:
         ref = _run_solve(formulation, arc, inc, _grid(2 * args.n), args)
@@ -147,22 +142,22 @@ def cmd_solve(args) -> int:
                 for a, v in zip(ff.angles_deg, ff.values)))
     _write_csv(out / "density.csv", "theta,re,im",
                ([_fmt(t), _fmt(v.real), _fmt(v.imag)]
-                for t, v in zip(grid.nodes, density)))
+                for t, v in zip(grid.nodes, sol.density)))
     lines = [
         f"formulation: {formulation}",
         f"n: {grid.n}",
         f"k: {_fmt(k)}",
         f"L_over_lambda: {_fmt(k * arc.length / (2.0 * np.pi))}",
-        f"iterations: {report.iterations}",
-        f"final_residual: {_fmt(report.final_residual)}",
-        f"mat_seconds: {_fmt(mat_seconds)}",
-        f"solve_seconds: {_fmt(report.elapsed)}",
+        f"iterations: {sol.report.iterations}",
+        f"final_residual: {_fmt(sol.report.final_residual)}",
+        f"mat_seconds: {_fmt(sol.mat_seconds)}",
+        f"solve_seconds: {_fmt(sol.report.elapsed)}",
     ]
     if eps_r is not None:
         lines.append(f"eps_r_estimate: {_fmt(eps_r)}")
     (out / "report.txt").write_text("\n".join(lines) + "\n")
-    print(f"{formulation}: n={grid.n} iterations={report.iterations} "
-          f"residual={report.final_residual:.3e}")
+    print(f"{formulation}: n={grid.n} iterations={sol.report.iterations} "
+          f"residual={sol.report.final_residual:.3e}")
     return 0
 
 
@@ -278,8 +273,7 @@ def cmd_tables(args) -> int:
         k = wavenumber_for_ratio(arc, ratio)
         inc = Incidence(angle_deg=args.inc_deg, k=k)
         # Every formulation on grid n, then every reference on 2n, so the
-        # solves on one grid reuse one S; only far fields are kept across,
-        # so the S of grid n can be freed before the 2n build.
+        # solves on one grid reuse one S.
         grid = _grid(n)
         fields = []
         for formulation in formulations:
@@ -290,7 +284,6 @@ def cmd_tables(args) -> int:
                          _fmt(sol.mat_seconds), _fmt(sol.report.elapsed), ""])
             print(f"L/lambda={ratio:g} n={n} {formulation}: "
                   f"iterations={sol.report.iterations}")
-            del sol
         if args.self_check:
             ref_grid = _grid(2 * n)
             for row, formulation, ff in zip(rows[-len(formulations):], formulations, fields):

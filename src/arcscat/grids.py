@@ -45,14 +45,15 @@ def is_admissible(n: int) -> bool:
 
 
 def nearest_admissible(n: int) -> int:
-    """Closest admissible grid size to n (ties resolved upward)."""
-    lo, hi = n, n
-    while not is_admissible(hi):
-        hi += 1
-    while lo >= 4 and not is_admissible(lo):
-        lo -= 1
-    if lo < 4:
-        return hi
+    """Closest admissible grid size to n (ties resolved upward; 4 for
+    n < 4), from the p 2^a nearest n for each p = 3^b 5^c below 2n."""
+    n = operator.index(n)
+    if n < 4:
+        return 4
+    exponents = range(n.bit_length())
+    odd = [3 ** b * 5 ** c for b in exponents for c in exponents if 3 ** b * 5 ** c < 2 * n]
+    lo = max(p << ((n // p).bit_length() - 1) for p in odd if p <= n)
+    hi = min(p << (-(-n // p) - 1).bit_length() for p in odd)
     return lo if n - lo < hi - n else hi
 
 

@@ -21,9 +21,9 @@ with smooth even integrands, so the plain node rule is spectral.
 
 A solve evaluates the arc once per discretization: the right-hand side
 comes from its node frame (``te_data`` / ``tm_data`` of the frame's
-points and normals), and every ``Solution`` carries that frame and S,
-which its density recovery and field evaluations read.  Densities and
-data are plain arrays of node values.
+points and normals), and every ``Solution`` carries that frame and its
+layer density, which its density recovery and field evaluations read.
+Densities and data are plain arrays of node values.
 
 Far fields use the normalization
 
@@ -105,20 +105,21 @@ class Solution:
     """Solved periodic density (node values) with its provenance and
     solver report.
 
-    ``s_matrix`` and ``frame`` are the read-only S and the node frame of
-    the solve's discretization, shared with every other solve on the same
-    (arc, k, grid); the field evaluations read the frame.  ``mat_seconds``
-    is the time spent assembling S, 0.0 when the solve reused it.
+    ``layer_density`` is the periodic layer density the fields read:
+    psi = S density for TM_NS, phi = (S0_tau)^{-1} density for
+    TE_ATKINSON, else ``density``.  ``frame`` is the read-only node frame
+    every solve on the same (arc, k, grid) shares; no Solution holds S.
+    ``mat_seconds`` is the time spent assembling S, 0.0 on reuse.
     """
 
     formulation: str
     density: np.ndarray
+    layer_density: np.ndarray = field(repr=False)
     report: SolveReport
     arc: Arc
     k: float
     grid: ThetaGrid
     incidence: Incidence
-    s_matrix: OperatorMatrix = field(repr=False)
     frame: NFrame = field(repr=False)
     mat_seconds: float = 0.0
 
@@ -161,23 +162,24 @@ _last: Optional[_Discretization] = None
 
 
 def _discretize(arc: Arc, k: float, grid: ThetaGrid):
-    """S (read-only) and the N frame of (arc, k, grid), reused from the
-    previous solve or ``dense_operator`` when it ran on the same
+    """S and the N frame of (arc, k, grid), both read-only, reused from
+    the previous solve or ``dense_operator`` when it ran on the same
     discretization, with the seconds spent assembling S (0.0 on reuse)."""
     global _last
     last = _last
     if last is not None and last.matches(arc, k, grid):
         return last.s, last.frame, 0.0
-    # Empty the slot before building, so that an S no Solution holds is
-    # freed first and two of them are never resident at once.
+    # Empty the slot before building, so that the old S is freed first
+    # and two of them are never resident at once.
     _last = last = None
     builder = build_S_matrix
     start = time.perf_counter()
     s = builder(arc, k, grid)
     mat_seconds = time.perf_counter() - start
-    s.entries.flags.writeable = False
-    s.weight.flags.writeable = False
     frame = n_frame(arc, k, grid)
+    for values in (s.entries, s.weight, frame.points, frame.tau, frame.normals,
+                   frame.ng_weight):
+        values.flags.writeable = False
     _last = _Discretization(builder=builder, s=s, frame=frame)
     return s, frame, mat_seconds
 
@@ -196,9 +198,9 @@ def solve(formulation: str, arc: Arc, inc: Incidence, grid: ThetaGrid,
     S and the N frame depend on the arc, k and the grid, not on the
     incidence or the formulation, so a solve on the same ``arc`` object,
     k and grid size as the last solve or ``dense_operator`` reuses them
-    and reports ``mat_seconds`` = 0.0.  The last S stays resident until
-    a solve on another discretization replaces it (331 MB at N = 6400);
-    it is read-only, and every Solution on it shares it.
+    and reports ``mat_seconds`` = 0.0.  The memo alone holds S: the last
+    S stays resident until a solve on another discretization replaces it
+    (331 MB at N = 6400), and no Solution keeps it alive.
 
     Returns a Solution whose ``report`` carries the iteration count and
     residual history; ``report.converged`` is False when maxit was hit.
@@ -215,8 +217,13 @@ def solve(formulation: str, arc: Arc, inc: Incidence, grid: ThetaGrid,
     if formulation == "TE_NS":
         b = operator_action("N", frame, s)(b)
     x, report = gmres(action, b, tol=tol, maxit=maxit)
-    return Solution(formulation=formulation, density=x, report=report, arc=arc, k=k,
-                    grid=grid, incidence=inc, s_matrix=s, frame=frame,
+    layer = x
+    if formulation == "TM_NS":
+        layer = operator_action("S", frame, s)(x)
+    elif formulation == "TE_ATKINSON":
+        layer = s0tau_solve_values(frame, x)
+    return Solution(formulation=formulation, density=x, layer_density=layer, report=report,
+                    arc=arc, k=k, grid=grid, incidence=inc, frame=frame,
                     mat_seconds=mat_seconds)
 
 
@@ -240,18 +247,14 @@ def te_layer_density(sol: Solution) -> np.ndarray:
     """Periodic single-layer density phi solving S phi = f, at the nodes."""
     if sol.formulation not in TE_FORMULATIONS:
         raise ValueError(f"{sol.formulation} is not a TE solution")
-    if sol.formulation == "TE_ATKINSON":
-        return s0tau_solve_values(sol.frame, sol.density)
-    return sol.density
+    return sol.layer_density
 
 
 def tm_layer_density(sol: Solution) -> np.ndarray:
     """Periodic weighted double-layer density psi solving N psi = g."""
     if sol.formulation not in TM_FORMULATIONS:
         raise ValueError(f"{sol.formulation} is not a TM solution")
-    if sol.formulation == "TM_NS":
-        return operator_action("S", sol.frame, sol.s_matrix)(sol.density)
-    return sol.density
+    return sol.layer_density
 
 
 def recover_mu(sol: Solution) -> np.ndarray:
@@ -269,9 +272,8 @@ def recover_nu(sol: Solution) -> np.ndarray:
 def _quadrature_density(sol: Solution) -> np.ndarray:
     """The density both field quadratures sum at the nodes: the layer
     density times tau, and times sin^2 theta for TM."""
-    if sol.formulation in TE_FORMULATIONS:
-        return te_layer_density(sol) * sol.frame.tau
-    return tm_layer_density(sol) * sol.frame.tau * np.sin(sol.grid.nodes) ** 2
+    density = sol.layer_density * sol.frame.tau
+    return density if sol.formulation in TE_FORMULATIONS else density * np.sin(sol.grid.nodes) ** 2
 
 
 def _directions(m: int):
@@ -367,11 +369,13 @@ def far_field(sol: Solution, m: int) -> FarField:
 
 
 def far_field_error(candidate: FarField, reference: FarField) -> float:
-    """Relative maximum far-field error against a reference run."""
+    """Relative maximum far-field error against a reference run (0.0 when
+    both vanish identically, inf when only the reference does)."""
     if candidate.values.shape != reference.values.shape:
         raise ValueError("far fields sampled on different angle grids")
-    return float(np.max(np.abs(candidate.values - reference.values))
-                 / np.max(np.abs(reference.values)))
+    error = float(np.max(np.abs(candidate.values - reference.values)))
+    scale = float(np.max(np.abs(reference.values)))
+    return error / scale if scale else (math.inf if error else 0.0)
 
 
 def _max_spacing(points: np.ndarray) -> float:

@@ -53,7 +53,15 @@ def test_solve_self_check_reports_eps(tmp_path):
     assert eps < 1e-8
 
 
-def test_solve_self_check_frees_the_grid_s_before_the_reference_build(tmp_path, monkeypatch):
+@pytest.mark.parametrize("args,output,builds", [
+    (["solve", "--arc", "strip", "--ratio", "5", "--n", "64", "--self-check"],
+     "report.txt", 2),
+    (["converge", "--arc", "spiral", "--ratio", "5", "--pol", "TM", "--form", "NS",
+      "--n", "64,128,256"], "converge.csv", 3),
+    (["tables", "--table", "strip-tm", "--cap", "50", "--self-check"],
+     "table_strip-tm.csv", 2),
+], ids=["solve", "converge", "tables"])
+def test_no_earlier_s_is_alive_at_a_build(tmp_path, monkeypatch, args, output, builds):
     real = scattering.build_S_matrix
     built, alive_at_build = [], []
 
@@ -64,10 +72,9 @@ def test_solve_self_check_frees_the_grid_s_before_the_reference_build(tmp_path, 
         return s
 
     monkeypatch.setattr(scattering, "build_S_matrix", build)
-    assert run(["solve", "--arc", "strip", "--ratio", "5", "--n", "64", "--self-check",
-                "--out", str(tmp_path)]) == 0
-    assert alive_at_build == [[], [False]]
-    assert "eps_r_estimate:" in (tmp_path / "report.txt").read_text()
+    assert run(args + ["--out", str(tmp_path)]) == 0
+    assert alive_at_build == [[False] * i for i in range(builds)]
+    assert (tmp_path / output).exists()
 
 
 def test_solve_float_format_17_digits(tmp_path):
@@ -205,6 +212,24 @@ def test_converge_substitutes_inadmissible_sizes(tmp_path, capsys):
     assert "not FFT-admissible" in capsys.readouterr().out
     lines = (out / "converge.csv").read_text().splitlines()
     assert lines[1].split(",")[0] == "64"
+
+
+def test_converge_rounds_a_huge_size_at_once(tmp_path, capsys):
+    with pytest.raises(SystemExit, match="at least two distinct"):
+        run(["converge", "--arc", "strip", "--ratio", "5", "--n", "1000000000001",
+             "--out", str(tmp_path)])
+    assert "using 1000000000000" in capsys.readouterr().out
+
+
+@pytest.mark.filterwarnings("error")
+def test_dark_data_gives_eps_r_zero(tmp_path):
+    # TM incidence along the strip has zero normal data: every far field
+    # vanishes, and eps_r is 0, not nan
+    dark = ["--arc", "strip", "--ratio", "5", "--pol", "TM", "--form", "N", "--inc-deg", "0"]
+    run(["converge", *dark, "--n", "64,128", "--out", str(tmp_path)])
+    assert (tmp_path / "converge.csv").read_text() == "n,eps_r\n64,0\n"
+    run(["solve", *dark, "--n", "64", "--self-check", "--out", str(tmp_path)])
+    assert "eps_r_estimate: 0\n" in (tmp_path / "report.txt").read_text()
 
 
 def test_fieldmap_outputs(tmp_path):

@@ -57,6 +57,35 @@ def test_nearest_admissible():
     assert nearest_admissible(7) in (6, 8)
 
 
+def scan_nearest_admissible(n):
+    """The integer-by-integer scan nearest_admissible replaced: the
+    closest admissible size, ties upward, and 4 below 4."""
+    lo, hi = n, n
+    while not is_admissible(hi):
+        hi += 1
+    while lo >= 4 and not is_admissible(lo):
+        lo -= 1
+    if lo < 4:
+        return hi
+    return lo if n - lo < hi - n else hi
+
+
+def test_nearest_admissible_matches_the_scan():
+    for n in range(-3, 30001):
+        assert nearest_admissible(n) == scan_nearest_admissible(n), n
+
+
+@pytest.mark.parametrize("n,nearest", [(10**12 + 1, 10**12), (10**18 + 1, 10**18),
+                                       (np.int64(7), 8)])
+def test_nearest_admissible_of_large_and_numpy_sizes(n, nearest):
+    assert nearest_admissible(n) == nearest
+
+
+def test_nearest_admissible_rejects_non_integer_size():
+    with pytest.raises(TypeError):
+        nearest_admissible(7.5)
+
+
 def test_grid_rejects_inadmissible():
     with pytest.raises(ValueError):
         theta_grid(17)

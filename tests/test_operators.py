@@ -665,7 +665,7 @@ def test_tm_residual_end_to_end():
     sol = solve("TM_N", arc, inc, g, tol=tol)
     frame = n_frame(arc, k, g)
     rhs = tm_data(frame.points, frame.normals, inc)
-    resid = n_apply(frame, sol.s_matrix, sol.density) - rhs
+    resid = n_apply(frame, build_S_matrix(arc, k, g), sol.density) - rhs
     rel = np.max(np.abs(resid)) / np.max(np.abs(rhs))
     assert rel < 10 * tol
 

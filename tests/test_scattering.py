@@ -2,6 +2,7 @@
 evaluation."""
 
 import dataclasses
+import gc
 import math
 import os
 import sys
@@ -45,13 +46,23 @@ from arcscat.scattering import (
 
 
 def make_solution(formulation, grid, values, arc=None, k=1.0):
-    """A Solution with the given density on the discretization's S and
-    node frame, as ``solve`` returns it."""
+    """A TE_S or TM_N Solution with the given density, which is also its
+    layer density, on the discretization's node frame."""
+    assert formulation in ("TE_S", "TM_N")
     arc = arc or make_arc("strip")
+    density = np.asarray(values, dtype=complex)
     report = SolveReport(iterations=0, residuals=[], converged=True, elapsed=0.0, n=grid.n)
-    return Solution(formulation=formulation, density=np.asarray(values, dtype=complex),
+    return Solution(formulation=formulation, density=density, layer_density=density,
                     report=report, arc=arc, k=k, grid=grid, incidence=Incidence(90.0, k),
-                    s_matrix=build_S_matrix(arc, k, grid), frame=n_frame(arc, k, grid))
+                    frame=n_frame(arc, k, grid))
+
+
+def memo_s(sol):
+    """The S of the solve's discretization, which the memo still holds
+    (a Solution keeps its layer density, not S)."""
+    last = scattering._last
+    assert last is not None and last.matches(sol.arc, sol.k, sol.grid)
+    return last.s
 
 
 def node_te_data(arc, inc, grid):
@@ -333,6 +344,16 @@ def test_far_field_error_shape_mismatch():
         far_field_error(far_field(sol, 10), far_field(sol, 20))
 
 
+@pytest.mark.filterwarnings("error")
+def test_far_field_error_on_dark_data():
+    g = theta_grid(16)
+    dark = far_field(solve("TM_N", make_arc("strip"), Incidence(0.0, 5.0), g), 36)
+    lit = far_field(make_solution("TE_S", g, np.ones(16, dtype=complex)), 36)
+    assert far_field_error(dark, dark) == 0.0
+    assert far_field_error(lit, dark) == math.inf
+    assert far_field_error(dark, lit) == 1.0
+
+
 @pytest.mark.parametrize("m,error", [(2.5, TypeError), (True, TypeError), (False, TypeError),
                                      ("4", TypeError), (0, ValueError), (-3, ValueError)])
 def test_far_field_rejects_bad_observation_count(m, error):
@@ -363,7 +384,7 @@ def direct_far_field_values(sol, m):
         density = sol.density * tau
         values = w * (phase @ density)
     else:
-        psi = sol.s_matrix.dense() @ sol.density * tau * np.sin(grid.nodes) ** 2
+        psi = memo_s(sol).dense() @ sol.density * tau * np.sin(grid.nodes) ** 2
         values = w * ((-1j * k) * (obs @ normals.T) * phase) @ psi
     return angles, values
 
@@ -775,13 +796,14 @@ def test_atkinson_on_a_reused_discretization_evaluates_no_arc_speed(monkeypatch)
     assert sol.mat_seconds == 0.0 and calls == []
     # the same solve with tau evaluated as the arc speed
     tau = real_speed(arc, np.cos(g.nodes))
-    apply_s = operator_action("S", sol.frame, sol.s_matrix)
+    apply_s = operator_action("S", sol.frame, memo_s(sol))
     x, report = gmres(lambda u: apply_s(s0_solve_values(u) / tau),
                       te_data(sol.frame.points, inc), tol=1e-8, maxit=2000)
     assert report.iterations == sol.report.iterations
     assert same_bits(sol.density, x)
     assert same_bits(phi, s0_solve_values(x) / tau)
-    as_te_s = dataclasses.replace(sol, formulation="TE_S", density=s0_solve_values(x) / tau)
+    as_te_s = dataclasses.replace(sol, formulation="TE_S", density=s0_solve_values(x) / tau,
+                                  layer_density=s0_solve_values(x) / tau)
     assert same_bits(ff.values, far_field(as_te_s, 720).values)
 
 
@@ -840,9 +862,10 @@ def test_second_solve_reuses_s(builds):
     k = wavenumber_for_ratio(arc, 5.0)
     g = theta_grid(64)
     first = solve("TM_NS", arc, Incidence(60.0, k), g)
+    s = weakref.ref(memo_s(first))
     second = solve("TM_NS", arc, Incidence(60.0, k), g)
     assert builds == [64]
-    assert second.s_matrix is first.s_matrix
+    assert memo_s(second) is s()
     assert first.mat_seconds > 0.0 and second.mat_seconds == 0.0
     assert same_bits(second.density, first.density)
     assert same_bits(far_field(second, 90).values, far_field(first, 90).values)
@@ -879,9 +902,11 @@ def test_which_changes_rebuild_s(builds, monkeypatch, change, rebuilds):
 def test_dense_s_is_the_solves_s(builds):
     arc, g = make_arc("spiral"), theta_grid(64)
     sol = solve("TE_S", arc, Incidence(60.0, 3.0), g)
+    s = memo_s(sol)
     dense = dense_operator("S", arc, 3.0, g)
-    assert same_bits(dense, sol.s_matrix.dense())
+    assert memo_s(sol) is s and same_bits(dense, s.dense())
     assert builds == [64]
+    assert same_bits(dense, build_S_matrix(arc, 3.0, g).dense())
 
 
 def test_solve_after_dense_operator_reuses_s(builds):
@@ -895,9 +920,40 @@ def test_solve_after_dense_operator_reuses_s(builds):
 def test_reused_s_is_read_only():
     sol = solve("TE_S", make_arc("strip"), Incidence(60.0, 3.0), theta_grid(32))
     with pytest.raises(ValueError, match="read-only"):
-        sol.s_matrix.entries[0] = 0.0
+        memo_s(sol).entries[0] = 0.0
     with pytest.raises(ValueError, match="read-only"):
-        sol.s_matrix.weight[0] = 0.0
+        memo_s(sol).weight[0] = 0.0
+
+
+def test_shared_frame_is_read_only():
+    sol = solve("TE_S", make_arc("strip"), Incidence(60.0, 3.0), theta_grid(32))
+    for name in (f.name for f in dataclasses.fields(NFrame)):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(sol.frame, name)[0] += 0.5
+
+
+@pytest.mark.parametrize("formulation", FORMULATIONS)
+def test_solution_outlives_its_s(formulation):
+    # A Solution holds its layer density, not S: once the memo lets S go,
+    # the fields and densities are still those of the solve, bitwise.
+    arc = make_arc("spiral")
+    sol = solve(formulation, arc, Incidence(60.0, wavenumber_for_ratio(arc, 5.0)),
+                theta_grid(64))
+    pts = np.array([[0.0, 3.0], [2.5, -1.0], [-3.0, 0.5]])
+    te = formulation in scattering.TE_FORMULATIONS
+    layer, recover = ((scattering.te_layer_density, recover_mu) if te
+                      else (scattering.tm_layer_density, recover_nu))
+
+    def evaluations():
+        return [far_field(sol, 720).values, near_field(sol, pts), layer(sol), recover(sol)]
+
+    before = evaluations()
+    s = weakref.ref(memo_s(sol))
+    scattering._last = None  # not monkeypatch, which would keep the old slot
+    gc.collect()
+    assert s() is None
+    for a, b in zip(evaluations(), before):
+        assert same_bits(a, b)
 
 
 def test_miss_frees_the_old_s_before_building(monkeypatch):
@@ -911,10 +967,11 @@ def test_miss_frees_the_old_s_before_building(monkeypatch):
     monkeypatch.setattr(scattering, "build_S_matrix", build)
     arc = make_arc("strip")
     sol = solve("TE_S", arc, Incidence(60.0, 3.0), theta_grid(32))
-    watched.append(weakref.ref(sol.s_matrix))
-    del sol
+    watched.append(weakref.ref(memo_s(sol)))
+    # the Solution stays alive: it holds no S
     solve("TE_S", arc, Incidence(60.0, 4.0), theta_grid(32))
     assert alive_at_build == [[], [False]]
+    assert sol.report.converged
 
 
 def test_failed_build_leaves_the_memo_empty(builds, monkeypatch):
