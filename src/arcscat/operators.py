@@ -67,12 +67,13 @@ from .linalg import DENSE_CAP
 from .specfun import _a1a2_offdiag, _a2_diagonal
 
 # An upper-triangle row panel of the S assembly holds about
-# max(PANEL_ENTRIES, N^2 / 64) kernel entries.  Up to N = 1024 a panel's
-# temporaries (about 40 bytes an entry) fit in a 2 MiB L2, and its
-# diagonal square, evaluated whole, stays small.  Each panel ends in a
-# wait for the J0/Y0 pool, which costs milliseconds on a busy host, so
-# large N gets about 32 panels; their temporaries stay near 12 % of the
-# stored S (6 % of a full N x N array).
+# min(max(PANEL_ENTRIES, N^2 / 64), ROW_BLOCK_BYTES / 16) kernel entries.
+# Up to N = 1024 a panel's temporaries (about 40 bytes an entry) fit in a
+# 2 MiB L2, and its diagonal square, evaluated whole, stays small.  Each
+# panel ends in a wait for the J0/Y0 pool, which costs milliseconds on a
+# busy host, so panels grow like N^2 / 64 up to N = 2896; beyond that
+# they hold the entries of one stored block (two pool tasks), and their
+# temporaries stay near 5 MiB whatever N.
 PANEL_ENTRIES = 1 << 14
 # bytes of K per stored row block, the unit of the blocked S products
 ROW_BLOCK_BYTES = 2 << 20
@@ -291,9 +292,11 @@ def build_S_matrix(arc: Arc, k: float, grid: ThetaGrid) -> OperatorMatrix:
     single-layer integral.  S = K diag(w) with w_j = (pi/N) tau_j, and
     the kernel K is symmetric to the last bit, because R, the distances
     and the cosine gaps are.  So K is evaluated on the upper triangle
-    only, in row panels of max(``PANEL_ENTRIES``, N^2/64) entries, and
-    stored once, unweighted, in the row blocks of ``OperatorMatrix``
-    (sized by ``ROW_BLOCK_BYTES`` for the products, not by the panels):
+    only, in row panels of max(``PANEL_ENTRIES``, N^2/64) entries, but
+    never more than one stored block holds (``ROW_BLOCK_BYTES`` / 16, so
+    the panels' temporaries are bounded whatever N), and stored once,
+    unweighted, in the row blocks of ``OperatorMatrix`` (sized by
+    ``ROW_BLOCK_BYTES`` for the products, not by the panels):
     each panel is copied into the blocks its rows fall in, and the part
     of a block's diagonal square left of the panel is filled by a
     transpose copy of the block's earlier rows.  J0/Y0, most of the cost,
@@ -326,7 +329,7 @@ def build_S_matrix(arc: Arc, k: float, grid: ThetaGrid) -> OperatorMatrix:
     workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                else os.cpu_count() or 1)
     with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
-        panel, lo = max(PANEL_ENTRIES, n * n // 64), 0
+        panel, lo = min(max(PANEL_ENTRIES, n * n // 64), ROW_BLOCK_BYTES // 16), 0
         while lo < n:
             hi = min(n, lo + max(1, panel // (n - lo)))
             kernel = _kernel_panel(k, x, px, py, r, a2_diag[lo:hi], lo, hi, pool)

@@ -38,6 +38,7 @@ far-field quantities are reported).
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import time
 from dataclasses import dataclass, field
@@ -81,6 +82,9 @@ class Incidence:
     k: float
 
     def __post_init__(self):
+        for value, name in ((self.angle_deg, "incidence angle"), (self.k, "wavenumber")):
+            if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+                raise TypeError(f"{name} must be a real number")
         if not np.isfinite(self.angle_deg):
             raise ValueError("incidence angle must be finite")
         if not (np.isfinite(self.k) and self.k > 0.0):
@@ -231,8 +235,10 @@ def dense_operator(name: str, arc: Arc, k: float, grid: ThetaGrid) -> np.ndarray
     """Dense matrix of ``operator_action(name, ...)``, the action GMRES
     applies, on the S and frame a solve on (arc, k, grid) shares and
     leaves resident: for ``"S"`` a new array ``S.dense()``, else the
-    action on the identity stack.  Name and size are checked before S is
-    built."""
+    action on the identity, applied to stacks of about N/8 of its columns
+    at a time, so that the action's temporaries (about 12 densities per
+    density for N) stay below twice the result.  Name and size are
+    checked before S is built."""
     if name not in _OPERATORS.values():
         raise ValueError(f"unknown operator name {name!r}; expected S, N, NS or S0invS")
     if grid.n > DENSE_CAP:
@@ -240,7 +246,13 @@ def dense_operator(name: str, arc: Arc, k: float, grid: ThetaGrid) -> np.ndarray
     s, frame, _ = _discretize(arc, k, grid)
     if name == "S":
         return s.dense()
-    return operator_action(name, frame, s)(np.eye(grid.n)).T
+    action, n = operator_action(name, frame, s), grid.n
+    dense = np.empty((n, n), dtype=complex)
+    step = -(-n // 8)
+    for c0 in range(0, n, step):
+        c1 = min(n, c0 + step)
+        dense[:, c0:c1] = action(np.eye(c1 - c0, n, c0)).T
+    return dense
 
 
 def te_layer_density(sol: Solution) -> np.ndarray:
@@ -276,6 +288,21 @@ def _quadrature_density(sol: Solution) -> np.ndarray:
     return density if sol.formulation in TE_FORMULATIONS else density * np.sin(sol.grid.nodes) ** 2
 
 
+# Kernel entries per point chunk of near_field, and phases per direction
+# chunk of far_field: a near-field chunk's distance, kernel and Hankel
+# temporaries then take about 5 MB, a far-field chunk's phases 1.5 MB,
+# whatever N and the number of points or directions.
+NEAR_CHUNK_ENTRIES = 1 << 16
+
+
+def _row_chunks(count: int, width: int) -> list:
+    """Near-equal row slices of a count x width array, of about
+    ``NEAR_CHUNK_ENTRIES`` entries each and at least two rows: a one-row
+    product takes another BLAS path and may differ in the last bit."""
+    chunks = max(1, min(count // 2, -(-count * width // NEAR_CHUNK_ENTRIES)))
+    return [slice(count * c // chunks, count * (c + 1) // chunks) for c in range(chunks)]
+
+
 def _directions(m: int):
     """m uniformly spaced observation angles (degrees from +x) and their
     unit directions, (m, 2)."""
@@ -291,15 +318,22 @@ def _phase_sums(points: np.ndarray, cols: np.ndarray, k: float, obs: np.ndarray)
     For even m, direction j + m/2 is the negative of direction j, so its
     row of phases is the complex conjugate of row j: the exponentials are
     evaluated for the first m/2 directions only, and the second half
-    comes from the same matrix applied to the conjugated columns.
+    comes from the same matrix applied to the conjugated columns.  The
+    phases are made and summed in the row chunks of ``_row_chunks``, so
+    no (m/2) x N array is held.
     """
     m = len(obs)
     half = m // 2 if m % 2 == 0 else m
-    phase = -1j * k * (obs[:half] @ points.T)  # (half, n)
-    np.exp(phase, out=phase)
+    if half < m:
+        cols = np.hstack((cols, cols.conj()))
+    sums = np.empty((half, cols.shape[1]), dtype=complex)
+    for rows in _row_chunks(half, len(points)):
+        phase = -1j * k * (obs[rows] @ points.T)
+        np.exp(phase, out=phase)
+        sums[rows] = phase @ cols
     if half == m:
-        return phase @ cols
-    top, bottom = np.split(phase @ np.hstack((cols, cols.conj())), 2, axis=1)
+        return sums
+    top, bottom = np.split(sums, 2, axis=1)
     return np.concatenate((top, bottom.conj()))  # (m, columns)
 
 
@@ -338,7 +372,9 @@ def far_field(sol: Solution, m: int) -> FarField:
     (kR = 628) they differ by 2e-13: the direct sum feels the rounding of
     its directions, and the resampled values are within 3e-14 of the
     field at the exact directions.  Either path evaluates the
-    exponentials of half its directions only (see ``_phase_sums``).
+    exponentials of half its directions only, in chunks of about
+    ``NEAR_CHUNK_ENTRIES`` phases (see ``_phase_sums``), so its working
+    arrays stay near 2 MB whatever m and N.
     """
     if isinstance(m, bool):
         raise TypeError("observation count must be an integer, not bool")
@@ -382,10 +418,6 @@ def _max_spacing(points: np.ndarray) -> float:
     return float(np.max(np.hypot(np.diff(points[:, 0]), np.diff(points[:, 1]))))
 
 
-# Kernel entries per point chunk of near_field: a chunk's distance, kernel
-# and Hankel temporaries then take about 5 MB, whatever N and the number
-# of points.
-NEAR_CHUNK_ENTRIES = 1 << 16
 # Cosine modes of the near-field density below this share of its peak are
 # dropped when the density is resampled to fewer nodes.
 DENSITY_CUTOFF = 1e-14
@@ -407,13 +439,8 @@ def _layer_sums(pts: np.ndarray, nodes_xy: np.ndarray, normals: np.ndarray,
     if count == 1:
         # a lone point is evaluated as a two-row block, like any other
         pts = np.vstack((pts, pts))
-    n = len(nodes_xy)
-    # Near-equal chunks of at least two points: a one-row product takes
-    # another BLAS path and may differ in the last bit.
-    chunks = max(1, min(len(pts) // 2, -(-len(pts) * n // NEAR_CHUNK_ENTRIES)))
     out = np.empty(len(pts), dtype=complex)
-    for c in range(chunks):
-        rows = slice(len(pts) * c // chunks, len(pts) * (c + 1) // chunks)
+    for rows in _row_chunks(len(pts), len(nodes_xy)):
         block = pts[rows]
         dx = block[:, 0][:, None] - nodes_xy[:, 0][None, :]
         dy = block[:, 1][:, None] - nodes_xy[:, 1][None, :]

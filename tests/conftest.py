@@ -1,5 +1,7 @@
 """Fixtures shared by every test module."""
 
+import tracemalloc
+
 import pytest
 
 import arcscat.scattering as scattering
@@ -11,3 +13,17 @@ def no_reused_discretization(monkeypatch):
     test solves with an S another test assembled (the pool and J0/Y0
     tests patch ``specfun`` and need fresh builds)."""
     monkeypatch.setattr(scattering, "_last", None)
+
+
+@pytest.fixture
+def allocation_peak():
+    """A function that calls fn() and returns the peak of the bytes it
+    held allocated at once, as ``tracemalloc`` counts them."""
+    def peak(fn) -> int:
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return peak

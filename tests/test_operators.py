@@ -449,6 +449,29 @@ def test_s_build_evaluates_the_kernel_in_l2_sized_panels(monkeypatch):
     assert max(sizes) <= operators.PANEL_ENTRIES
 
 
+@pytest.mark.parametrize("n", [512, 1024])
+def test_s_build_panels_are_capped_at_one_stored_block(monkeypatch, n):
+    # Panels hold at most the ROW_BLOCK_BYTES / 16 entries of one stored
+    # block.  At the default that cap binds only above N = 2896; with
+    # 64 KiB blocks it binds here (4096 entries against 16384 and N^2/64),
+    # and the capped panels still give S bitwise.
+    monkeypatch.setattr(operators, "ROW_BLOCK_BYTES", 64 << 10)
+    sizes = []
+    real = operators._a1a2_offdiag
+
+    def counting(k, dist, dcos, pool):
+        sizes.append(dist.size)
+        return real(k, dist, dcos, pool)
+
+    monkeypatch.setattr(operators, "_a1a2_offdiag", counting)
+    arc = make_arc("spiral")
+    k = wavenumber_for_ratio(arc, 20.0)
+    g = theta_grid(n)
+    s = build_S_matrix(arc, k, g)
+    assert max(sizes) <= 4096 < max(operators.PANEL_ENTRIES, n * n // 64)
+    assert same_bits(s.dense(), reference_s_entries(arc, k, g))
+
+
 # ---------------------------------------------------------------------------
 # triangle assembly on a thread pool, against the serial full-matrix loop
 # ---------------------------------------------------------------------------
@@ -794,6 +817,21 @@ def test_atkinson_spread_exceeds_ns_spread():
     spread_ns = np.abs(lam_ns).max() / np.abs(lam_ns).min()
     spread_atk = np.abs(lam_atk).max() / np.abs(lam_atk).min()
     assert spread_atk >= 10.0 * spread_ns
+
+
+@pytest.mark.parametrize("name", ["N", "NS"])
+def test_dense_operator_works_in_column_batches(name, allocation_peak):
+    # the action on the whole identity stack at once held 9 (N) and 12
+    # (NS) times the result; S and the frame are built before measuring
+    arc = make_arc("spiral")
+    k = wavenumber_for_ratio(arc, 20.0)
+    g = theta_grid(512)
+    dense_operator("S", arc, k, g)
+    dense = []
+    peak = allocation_peak(lambda: dense.append(dense_operator(name, arc, k, g)))
+    assert peak <= 3 * dense[0].nbytes
+    whole = operator_action(name, n_frame(arc, k, g), build_S_matrix(arc, k, g))(np.eye(g.n)).T
+    assert np.max(np.abs(dense[0] - whole)) < 1e-11
 
 
 def test_dense_operator_names():

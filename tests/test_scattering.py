@@ -7,7 +7,6 @@ import math
 import os
 import sys
 import threading
-import tracemalloc
 import weakref
 
 import numpy as np
@@ -83,6 +82,25 @@ def node_tm_data(arc, inc, grid):
 def test_incidence_rejects_non_finite(angle, k):
     with pytest.raises(ValueError):
         Incidence(angle, k)
+
+
+@pytest.mark.parametrize("angle,k,field", [
+    (1 + 2j, 3.0, "incidence angle"), (30.0 + 0j, 3.0, "incidence angle"),
+    (True, 3.0, "incidence angle"), (np.True_, 3.0, "incidence angle"),
+    ("30", 3.0, "incidence angle"), (None, 3.0, "incidence angle"),
+    (30.0, 3.0 + 1j, "wavenumber"), (30.0, True, "wavenumber"), (30.0, "3", "wavenumber"),
+    (30.0, np.array(3.0), "wavenumber")],
+    ids=["complex-angle", "complex-zero-imag-angle", "bool-angle", "numpy-bool-angle",
+         "str-angle", "none-angle", "complex-k", "bool-k", "str-k", "array-k"])
+def test_incidence_requires_real_numbers(angle, k, field):
+    with pytest.raises(TypeError, match=f"^{field} must be a real number$"):
+        Incidence(angle, k)
+
+
+def test_incidence_accepts_python_and_numpy_reals():
+    for angle, k in [(30, 2), (np.float64(30.0), np.int64(2)), (np.float32(30.0), 2.5)]:
+        inc = Incidence(angle, k)
+        assert np.allclose(inc.direction, [np.sqrt(0.75), 0.5])
 
 
 def test_rhs_te_low_frequency_limit():
@@ -450,6 +468,59 @@ def test_far_field_evaluates_exponentials_for_half_its_samples(formulation, kind
             assert sum(rows) == (m // 2 if m % 2 == 0 else m)
 
 
+@pytest.mark.parametrize("formulation", ["TE_S", "TM_NS"])
+def test_far_field_values_do_not_depend_on_its_chunks(formulation, monkeypatch):
+    # The phases of one call are made in chunks of about NEAR_CHUNK_ENTRIES;
+    # with one entry a chunk has two or three rows.  On the direct path
+    # (m = M - 2, M - 1) and the resampled one (720, 721), every chunking
+    # gives the values of the whole phase matrix bitwise.  At the default,
+    # the odd direct m at L/lambda = 50 takes two chunks.
+    arc = make_arc("spiral")
+    g = theta_grid(512)
+    default = scattering.NEAR_CHUNK_ENTRIES
+    rows = []
+    real_exp = np.exp
+
+    def exp(x, *args, **kwargs):
+        if np.ndim(x) == 2 and np.shape(x)[1] == g.n:
+            rows.append(np.shape(x)[0])
+        return real_exp(x, *args, **kwargs)
+
+    def values(chunk_entries):
+        monkeypatch.setattr(scattering, "NEAR_CHUNK_ENTRIES", chunk_entries)
+        rows.clear()
+        return far_field(sol, m).values
+
+    monkeypatch.setattr(np, "exp", exp)
+    paths, chunk_counts = set(), set()
+    for ratio in (1.0, 50.0):
+        k = wavenumber_for_ratio(arc, ratio)
+        sol = solve(formulation, arc, Incidence(60.0, k), g, tol=1e-10)
+        samples = band_limit_samples(arc, k, g)
+        for m in (samples - 2, samples - 1, 720, 721):
+            whole = values(1 << 40)
+            assert len(rows) == 1
+            assert same_bits(values(default), whole)
+            chunk_counts.add(len(rows))
+            assert same_bits(values(1), whole)
+            assert 2 <= min(rows) and max(rows) <= 3 and len(rows) > 1
+            paths.add((samples < m, m % 2))
+    assert paths == {(False, 0), (False, 1), (True, 0), (True, 1)}
+    assert chunk_counts == {1, 2}
+
+
+def test_far_field_memory_is_bounded_by_its_chunks(allocation_peak):
+    # on the resampled path at L/lambda = 200 the whole 334 x 1600 phase
+    # matrix and its real exponent took 12.5 MiB
+    arc = make_arc("spiral")
+    k = wavenumber_for_ratio(arc, 200.0)
+    g = theta_grid(1600)
+    assert band_limit_samples(arc, k, g) < 720
+    for formulation in ("TE_S", "TM_N"):
+        sol = make_solution(formulation, g, np.cos(g.nodes) + 0.5j, arc=arc, k=k)
+        assert allocation_peak(lambda: far_field(sol, 720)) <= 4 * 2 ** 20
+
+
 # ---------------------------------------------------------------------------
 # near field
 # ---------------------------------------------------------------------------
@@ -483,18 +554,12 @@ def map_points(count, seed=0):
     return np.column_stack([rng.uniform(-2.0, 2.0, count), rng.uniform(-1.5, 1.5, count)])
 
 
-def test_near_field_memory_is_bounded_by_its_chunks():
+def test_near_field_memory_is_bounded_by_its_chunks(allocation_peak):
     # one 4096-point chunk at N = 512 takes about 134 MB of temporaries,
     # chunks of NEAR_CHUNK_ENTRIES kernel entries about 5 MB
     sol = strip_map_solution("TE_S")
     pts = map_points(4096)
-    tracemalloc.start()
-    try:
-        near_field(sol, pts)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16e6
+    assert allocation_peak(lambda: near_field(sol, pts)) < 16e6
 
 
 @pytest.mark.parametrize("formulation", ["TE_S", "TM_NS"])
