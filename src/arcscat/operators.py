@@ -72,8 +72,8 @@ from .specfun import _a1a2_offdiag, _a2_diagonal
 # 2 MiB L2, and its diagonal square, evaluated whole, stays small.  Each
 # panel ends in a wait for the J0/Y0 pool, which costs milliseconds on a
 # busy host, so panels grow like N^2 / 64 up to N = 2896; beyond that
-# they hold the entries of one stored block (two pool tasks), and their
-# temporaries stay near 5 MiB whatever N.
+# they hold the entries of one stored block (two pool tasks), so their
+# temporaries stay bounded whatever N.
 PANEL_ENTRIES = 1 << 14
 # bytes of K per stored row block, the unit of the blocked S products
 ROW_BLOCK_BYTES = 2 << 20

@@ -82,9 +82,12 @@ class Incidence:
     k: float
 
     def __post_init__(self):
-        for value, name in ((self.angle_deg, "incidence angle"), (self.k, "wavenumber")):
+        for name, label in (("angle_deg", "incidence angle"), ("k", "wavenumber")):
+            value = getattr(self, name)
             if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
-                raise TypeError(f"{name} must be a real number")
+                raise TypeError(f"{label} must be a real number")
+            # any Real (a Fraction, say) as the float numpy computes with
+            object.__setattr__(self, name, float(value))
         if not np.isfinite(self.angle_deg):
             raise ValueError("incidence angle must be finite")
         if not (np.isfinite(self.k) and self.k > 0.0):
@@ -373,8 +376,8 @@ def far_field(sol: Solution, m: int) -> FarField:
     its directions, and the resampled values are within 3e-14 of the
     field at the exact directions.  Either path evaluates the
     exponentials of half its directions only, in chunks of about
-    ``NEAR_CHUNK_ENTRIES`` phases (see ``_phase_sums``), so its working
-    arrays stay near 2 MB whatever m and N.
+    ``NEAR_CHUNK_ENTRIES`` phases (see ``_phase_sums``), so its phase
+    arrays stay near 2 MB whatever N.
     """
     if isinstance(m, bool):
         raise TypeError("observation count must be an integer, not bool")

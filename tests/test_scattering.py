@@ -8,6 +8,7 @@ import os
 import sys
 import threading
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -98,9 +99,11 @@ def test_incidence_requires_real_numbers(angle, k, field):
 
 
 def test_incidence_accepts_python_and_numpy_reals():
-    for angle, k in [(30, 2), (np.float64(30.0), np.int64(2)), (np.float32(30.0), 2.5)]:
+    for angle, k in [(30, 2), (np.float64(30.0), np.int64(2)), (np.float32(30.0), 2.5),
+                     (Fraction(30), Fraction(5, 2))]:
         inc = Incidence(angle, k)
-        assert np.allclose(inc.direction, [np.sqrt(0.75), 0.5])
+        assert type(inc.angle_deg) is float and type(inc.k) is float
+        assert np.array_equal(inc.direction, Incidence(30.0, 2.0).direction)
 
 
 def test_rhs_te_low_frequency_limit():
