@@ -11,12 +11,10 @@ from .grids import (
 from .linalg import SolveReport, eig_dense, gmres
 from .operators import (
     OperatorMatrix,
-    assemble_dense,
     build_log_quad,
     build_S_matrix,
     n_apply,
     n_frame,
-    s0_eigenvalue,
 )
 from .scattering import (
     FarField,
@@ -33,15 +31,7 @@ from .scattering import (
     te_data,
     tm_data,
 )
-from .specfun import (
-    bessel_j0,
-    bessel_j1,
-    bessel_y0,
-    bessel_y1,
-    hankel1_0,
-    hankel1_1,
-    kernel_split,
-)
+from .specfun import hankel1_0, hankel1_1
 
 __version__ = "0.1.0"
 

@@ -186,7 +186,10 @@ def cmd_spectrum(args) -> int:
 def cmd_converge(args) -> int:
     arc = _make_arc(args)
     k = _wavenumber(args, arc)
-    requested = sorted(int(v) for v in _parse_floats(args.n, name="--n"))
+    values = _parse_floats(args.n, name="--n")
+    if not all(v.is_integer() for v in values):
+        raise SystemExit(f"error: --n expects integer grid sizes, got {args.n!r}")
+    requested = sorted(int(v) for v in values)
     sizes = []
     for n in requested:
         m = nearest_admissible(n)

@@ -95,9 +95,9 @@ def _halfcircle_vel(t):
 
 
 def _make_circlecavity(radius: float, gap: float):
-    if radius <= 0.0:
-        raise ValueError(f"circlecavity radius must be positive, got {radius}")
-    if not 0.0 < gap < 2.0 * np.pi * radius:
+    if not (np.isfinite(radius) and radius > 0.0):
+        raise ValueError(f"circlecavity radius must be finite and positive, got {radius}")
+    if not (np.isfinite(gap) and 0.0 < gap < 2.0 * np.pi * radius):
         raise ValueError(f"circlecavity gap_arclength must lie in (0, 2 pi R), got {gap}")
     delta = gap / radius
     a0 = -0.5 * np.pi + 0.5 * delta
@@ -196,12 +196,6 @@ def eval_arc(arc: Arc, t):
     tangent = np.stack([np.broadcast_to(dx, t.shape), np.broadcast_to(dy, t.shape)], axis=-1)
     normal = np.stack([dy / tau, -dx / tau], axis=-1)
     return point, tangent, normal, tau
-
-
-def speed(arc: Arc, t):
-    """tau(t) = |r'(t)| for scalar or array t."""
-    dx, dy = arc._vel(np.asarray(t, dtype=float))
-    return np.hypot(dx, dy)
 
 
 def wavenumber_for_ratio(arc: Arc, l_over_lambda: float) -> float:

@@ -19,6 +19,8 @@ few computed eigenvalues and verifies ||A v - lambda v|| against ||A||.
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 import time
 from dataclasses import dataclass, field
 from typing import Callable, List
@@ -44,6 +46,22 @@ class GmresError(RuntimeError):
     """Raised when GMRES encounters non-finite data."""
 
 
+def gmres_limits(tol, maxit) -> int:
+    """``maxit`` as an int, after checking that ``tol`` is a real number
+    in (0, 1) and ``maxit`` an integer (not a bool) of at least 1, so a
+    solve can reject them before it builds anything."""
+    if isinstance(maxit, bool) or not hasattr(type(maxit), "__index__"):
+        raise TypeError(f"gmres requires an integer maxit, got {maxit!r}")
+    maxit = operator.index(maxit)
+    if maxit < 1:
+        raise ValueError("gmres requires maxit >= 1")
+    if not isinstance(tol, numbers.Real):
+        raise TypeError(f"gmres requires a real tol, got {tol!r}")
+    if not 0.0 < tol < 1.0:
+        raise ValueError("gmres requires 0 < tol < 1")
+    return maxit
+
+
 def gmres(apply_op: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
           tol: float = 1e-8, maxit: int = 2000) -> tuple[np.ndarray, SolveReport]:
     """Solve A x = b with full (non-restarted) GMRES, x0 = 0.
@@ -66,12 +84,9 @@ def gmres(apply_op: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
         i + 1 steps; the true final residual is recomputed explicitly.
     """
     start = time.perf_counter()
+    maxit = gmres_limits(tol, maxit)
     b = np.asarray(b, dtype=complex)
     n = b.shape[0]
-    if not (0.0 < tol < 1.0):
-        raise ValueError("gmres requires 0 < tol < 1")
-    if maxit < 1:
-        raise ValueError("gmres requires maxit >= 1")
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:  # dark data, e.g. TM on the strip at horizontal incidence
         return np.zeros(n, dtype=complex), SolveReport(

@@ -5,14 +5,11 @@ arc and k enter only through two objects a solve holds once per
 discretization: the node frame ``NFrame`` (points, tau, normals,
 k^2 sin^2 theta) and the Nystrom matrix S.  There are three groups.
 
-* Flat-arc zero-frequency operators, exact in coefficient space: the
-  log-kernel single layer S0 (diagonal in the cosine basis with
-  eigenvalues ln2/2, 1/(2m)), the inverse of its weighted variant
-  S0_tau = S0 (tau .), the hypersingular composition N0 = D0 S0 T0, the
-  Calderon composition J0 = N0 S0 realized through its upper-triangular
-  cosine-basis action, and the Cesaro-like operator C appearing in its
-  explicit form.  These serve as oracles and as the analytic
-  preconditioner inverse.
+* The flat-arc zero-frequency single layer S0, diagonal in the cosine
+  basis with eigenvalues ln2/2, 1/(2m), enters through its eigenvalues
+  (which also give the log-rule table below) and the exact inverse of
+  its weighted variant S0_tau = S0 (tau .), the preconditioner of
+  TE_ATKINSON.
 
 * The Nystrom matrix of the weighted single-layer operator S at
   wavenumber k > 0.  The log-singular factor is integrated by the
@@ -53,17 +50,7 @@ import scipy.fft
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .geometry import Arc, eval_arc
-from .grids import (
-    ThetaGrid,
-    coeffs_from_values,
-    d0_coeffs,
-    d0_values,
-    parity_suffix_sums,
-    t0_coeffs,
-    t0_values,
-    values_from_coeffs,
-)
-from .linalg import DENSE_CAP
+from .grids import ThetaGrid, coeffs_from_values, d0_values, t0_values, values_from_coeffs
 from .specfun import _a1a2_offdiag, _a2_diagonal
 
 # An upper-triangle row panel of the S assembly holds about
@@ -148,86 +135,20 @@ def n_frame(arc: Arc, k: float, grid: ThetaGrid) -> NFrame:
                   ng_weight=(k * k) * np.sin(grid.nodes) ** 2)
 
 
-def s0_eigenvalue(m: int) -> float:
-    """Cosine-basis eigenvalue of the flat-arc log single layer."""
-    if m < 0:
-        raise ValueError("mode index must be nonnegative")
-    return 0.5 * np.log(2.0) if m == 0 else 0.5 / m
-
-
 def s0_eigenvalues(n: int) -> np.ndarray:
-    """Eigenvalues for modes 0..n-1 as a vector."""
+    """Cosine-basis eigenvalues of the flat-arc log single layer S0 for
+    modes 0..n-1: ln2/2 for m = 0, then 1/(2m)."""
     lam = np.empty(n)
     lam[0] = 0.5 * np.log(2.0)
     lam[1:] = 0.5 / np.arange(1, n)
     return lam
 
 
-# ---------------------------------------------------------------------------
-# Flat-arc zero-frequency actions (coefficient space, spectrally exact)
-# ---------------------------------------------------------------------------
-def s0_apply_values(values: np.ndarray) -> np.ndarray:
-    """Flat-arc zero-frequency single layer (diagonal in cosine modes)."""
-    c = coeffs_from_values(values)
-    return values_from_coeffs(c * s0_eigenvalues(values.shape[-1]))
-
-
 def s0_solve_values(values: np.ndarray) -> np.ndarray:
-    """Exact inverse of ``s0_apply_values`` (divide by the eigenvalues)."""
+    """Exact inverse of the flat-arc single layer S0 (divide the cosine
+    coefficients by its eigenvalues)."""
     c = coeffs_from_values(values)
     return values_from_coeffs(c / s0_eigenvalues(values.shape[-1]))
-
-
-def n0_apply_values(values: np.ndarray) -> np.ndarray:
-    """Flat-arc zero-frequency hypersingular action D0 S0 T0.
-
-    Runs entirely in coefficient space so the top sine mode produced by
-    T0 (invisible at the nodes) still feeds the outer differentiation;
-    this keeps the discrete composition N0 S0 exactly equal to the
-    analytic upper-triangular action of J0.
-    """
-    n = values.shape[-1]
-    c = t0_coeffs(values)  # modes 0..N
-    d = d0_coeffs(c * s0_eigenvalues(n + 1))  # modes 0..N-1
-    return values_from_coeffs(d)
-
-
-def j0_apply_values(values: np.ndarray) -> np.ndarray:
-    """Calderon composition J0 = N0 S0 via its cosine-basis action.
-
-    On the basis e_m the map is upper triangular with diagonal
-    -ln2/4 (m = 0) and -1/4 - 1/(4m) (m > 0); the strictly upper part
-    couples each mode to the lower modes of equal parity.
-    """
-    a = coeffs_from_values(values)
-    n = a.shape[-1]
-    w = np.zeros_like(a)
-    w[..., 1:] = a[..., 1:] / np.arange(1, n)
-    excl = parity_suffix_sums(w) - w
-    lam = np.empty(n)
-    lam[0] = -0.25 * np.log(2.0)
-    lam[1:] = -0.25 - 0.25 / np.arange(1, n)
-    factor = np.full(n, 0.5)
-    factor[0] = 0.25
-    return values_from_coeffs(lam * a - factor * excl)
-
-
-def c_apply_values(values: np.ndarray) -> np.ndarray:
-    """Cesaro-like operator: e_0 -> 0, e_m -> sin(m theta)/(m sin theta)."""
-    a = coeffs_from_values(values)
-    n = a.shape[-1]
-    w = np.zeros_like(a)
-    w[..., 1:] = a[..., 1:] / np.arange(1, n)
-    incl = parity_suffix_sums(w)
-    out = np.zeros_like(a)
-    # even output mode 2i collects odd inputs > 2i; odd mode 2i+1 collects
-    # even inputs > 2i+1
-    so = incl[..., 1::2]
-    se = incl[..., 0::2]
-    out[..., 0 : 2 * so.shape[-1] : 2] = 2.0 * so
-    out[..., 1 : 2 * se.shape[-1] - 1 : 2] = 2.0 * se[..., 1:]
-    out[..., 0] *= 0.5
-    return values_from_coeffs(out)
 
 
 def s0tau_solve_values(frame: NFrame, values: np.ndarray) -> np.ndarray:
@@ -248,13 +169,6 @@ def build_log_quad(grid: ThetaGrid) -> np.ndarray:
     c[0] = lam[0]
     c[1:n] = 2.0 * lam[1:]
     return -np.real(scipy.fft.fft(c))
-
-
-def log_quad_matrix(grid: ThetaGrid) -> np.ndarray:
-    """The N x N table R_j(theta_n)."""
-    r = build_log_quad(grid)
-    idx = np.arange(grid.n)
-    return r[np.abs(idx[:, None] - idx[None, :])] + r[idx[:, None] + idx[None, :] + 1]
 
 
 def _kernel_panel(k, x, px, py, r, a2_diag, lo: int, hi: int, pool) -> np.ndarray:
@@ -312,7 +226,7 @@ def build_S_matrix(arc: Arc, k: float, grid: ThetaGrid) -> OperatorMatrix:
         raise ValueError("build_S_matrix requires a finite wavenumber")
     if k <= 0.0:
         raise ValueError("build_S_matrix requires k > 0; the flat-arc k = 0 "
-                         "operator is available analytically as s0_apply_values")
+                         "operator is diagonal in the cosine basis, see s0_eigenvalues")
     n = grid.n
     x = np.cos(grid.nodes)
     points, _, _, tau = eval_arc(arc, x)
@@ -399,16 +313,3 @@ def operator_action(name: str, frame: NFrame, s: OperatorMatrix):
     if name not in actions:
         raise ValueError(f"unknown operator name {name!r}; expected S, N, NS or S0invS")
     return actions[name]
-
-
-# ---------------------------------------------------------------------------
-# Dense materializations
-# ---------------------------------------------------------------------------
-def assemble_dense(op, grid: ThetaGrid) -> np.ndarray:
-    """Materialize a linear action on node values column by column:
-    column j of the result is op(e_j), e_j the j-th unit sample vector.
-    An action that transforms a stack of densities along the last axis
-    gives the same matrix in one call, as op(np.eye(N)).T."""
-    if grid.n > DENSE_CAP:
-        raise ValueError(f"dense assembly capped at {DENSE_CAP}, requested {grid.n}")
-    return np.column_stack([op(e) for e in np.eye(grid.n, dtype=complex)])

@@ -55,7 +55,7 @@ from .grids import (
     theta_grid,
     values_from_coeffs,
 )
-from .linalg import DENSE_CAP, SolveReport, gmres
+from .linalg import DENSE_CAP, SolveReport, gmres, gmres_limits
 from .operators import (
     NFrame,
     OperatorMatrix,
@@ -211,9 +211,11 @@ def solve(formulation: str, arc: Arc, inc: Incidence, grid: ThetaGrid,
 
     Returns a Solution whose ``report`` carries the iteration count and
     residual history; ``report.converged`` is False when maxit was hit.
+    The formulation, ``tol`` and ``maxit`` are checked before S is built.
     """
     if formulation not in FORMULATIONS:
         raise ValueError(f"unknown formulation {formulation!r}; expected one of {FORMULATIONS}")
+    gmres_limits(tol, maxit)
     k = inc.k
     s, frame, mat_seconds = _discretize(arc, k, grid)
     action = operator_action(_OPERATORS[formulation], frame, s)

@@ -192,6 +192,14 @@ def test_converge_requires_two_sizes(tmp_path):
              "--out", str(tmp_path)])
 
 
+@pytest.mark.parametrize("sizes", ["32.7,64.2", "64,nan", "64,inf"])
+def test_converge_rejects_non_integer_sizes(tmp_path, sizes):
+    with pytest.raises(SystemExit, match=re.escape("error: --n expects integer grid sizes")):
+        run(["converge", "--arc", "strip", "--ratio", "10", "--n", sizes,
+             "--out", str(tmp_path)])
+    assert not (tmp_path / "converge.csv").exists()
+
+
 def test_converge_monotone(tmp_path):
     out = tmp_path / "conv"
     rc = run(["converge", "--arc", "strip", "--ratio", "10",

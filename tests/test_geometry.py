@@ -7,7 +7,8 @@ import pytest
 from scipy.integrate import quad
 
 from arcscat import geometry
-from arcscat.geometry import eval_arc, make_arc, speed, wavenumber_for_ratio
+from arcscat.geometry import eval_arc, make_arc, wavenumber_for_ratio
+from oracles import speed
 
 ALL_KINDS = [("strip", ()), ("spiral", ()), ("parabola", ()), ("halfcircle", ()),
              ("circlecavity", (1.0, 0.5))]
@@ -121,6 +122,21 @@ def test_make_arc_errors():
         make_arc("circlecavity", (1.0, 10.0))  # gap exceeds the circumference
     with pytest.raises(ValueError):
         make_arc("strip", (3.0,))
+
+
+@pytest.mark.parametrize("params,name", [
+    ((math.nan, 0.5), "radius"),
+    ((math.inf, 0.5), "radius"),
+    ((-math.inf, 0.5), "radius"),
+    ((1.0, math.nan), "gap_arclength"),
+    ((1.0, math.inf), "gap_arclength"),
+    ((1.0, -math.inf), "gap_arclength"),
+], ids=["radius-nan", "radius-inf", "radius-minus-inf", "gap-nan", "gap-inf", "gap-minus-inf"])
+def test_circlecavity_rejects_non_finite_params(params, name):
+    with pytest.raises(ValueError, match=f"circlecavity {name} must") as info:
+        make_arc("circlecavity", params)
+    other = "gap_arclength" if name == "radius" else "radius"
+    assert other not in str(info.value)
 
 
 def test_eval_vectorized_shapes():

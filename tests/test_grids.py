@@ -4,7 +4,7 @@ operators."""
 import numpy as np
 import pytest
 
-from arcscat.geometry import make_arc, speed
+from arcscat.geometry import make_arc
 from arcscat.grids import (
     ThetaGrid,
     chebyshev_derivative_coeffs,
@@ -17,6 +17,7 @@ from arcscat.grids import (
     values_from_coeffs,
 )
 from arcscat.operators import n_frame
+from oracles import speed
 
 
 def dv(values):

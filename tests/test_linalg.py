@@ -8,9 +8,9 @@ from arcscat.geometry import make_arc, wavenumber_for_ratio
 from arcscat.grids import theta_grid
 import arcscat.linalg as linalg
 from arcscat.linalg import GmresError, eig_dense, gmres
-from arcscat.operators import (assemble_dense, j0_apply_values, n_frame, s0_apply_values,
-                               s0_eigenvalues)
+from arcscat.operators import n_frame, s0_eigenvalues
 from arcscat.scattering import Incidence, dense_operator, tm_data
+from oracles import assemble_dense, j0_apply_values, s0_apply_values
 
 
 def test_gmres_identity_one_iteration():
@@ -86,6 +86,13 @@ def test_gmres_input_validation():
 def test_gmres_rejects_maxit_below_one(maxit):
     with pytest.raises(ValueError, match="maxit"):
         gmres(lambda u: u, np.ones(4, dtype=complex), maxit=maxit)
+
+
+@pytest.mark.parametrize("kwargs", [dict(maxit=5.5), dict(maxit=True), dict(maxit="10"),
+                                    dict(tol=1e-8j)], ids=["float", "bool", "str", "complex-tol"])
+def test_gmres_rejects_non_integer_maxit_and_non_real_tol(kwargs):
+    with pytest.raises(TypeError, match=next(iter(kwargs))):
+        gmres(lambda u: u, np.ones(4, dtype=complex), **kwargs)
 
 
 def test_gmres_on_second_kind_operator_converges_fast():

@@ -24,7 +24,7 @@ import arcscat.operators as operators
 import arcscat.scattering as scattering
 import arcscat.specfun as specfun
 
-from arcscat.geometry import eval_arc, make_arc, speed, wavenumber_for_ratio
+from arcscat.geometry import eval_arc, make_arc, wavenumber_for_ratio
 from arcscat.grids import (
     coeffs_from_values,
     d0_values,
@@ -35,24 +35,29 @@ from arcscat.grids import (
 from arcscat.linalg import eig_dense
 from arcscat.operators import (
     _n_terms,
-    assemble_dense,
     build_log_quad,
     build_S_matrix,
-    c_apply_values,
-    j0_apply_values,
-    log_quad_matrix,
-    n0_apply_values,
     n_apply,
     n_frame,
     operator_action,
-    s0_apply_values,
-    s0_eigenvalue,
     s0_eigenvalues,
     s0_solve_values,
     s0tau_solve_values,
 )
 from arcscat.scattering import Incidence, dense_operator, solve, tm_data
 from arcscat.specfun import _a2_diagonal
+
+import oracles
+from oracles import (
+    assemble_dense,
+    c_apply_values,
+    j0_apply_values,
+    kernel_split,
+    log_quad_matrix,
+    n0_apply_values,
+    s0_apply_values,
+    speed,
+)
 
 
 def dv(values):
@@ -117,11 +122,10 @@ def reference_s_entries(arc, k, grid):
 # flat-arc zero-frequency operators
 # ---------------------------------------------------------------------------
 def test_s0_eigenvalue_values():
-    assert abs(s0_eigenvalue(0) - 0.5 * math.log(2.0)) < 1e-16
-    assert s0_eigenvalue(1) == 0.5
-    assert s0_eigenvalue(10) == 0.05
-    with pytest.raises(ValueError):
-        s0_eigenvalue(-1)
+    lam = s0_eigenvalues(11)
+    assert abs(lam[0] - 0.5 * math.log(2.0)) < 1e-16
+    assert lam[1] == 0.5
+    assert lam[10] == 0.05
 
 
 def test_s0_diagonal_action():
@@ -287,7 +291,7 @@ def test_log_rule_integrates_log_kernel():
     th = g.nodes
     for m in range(32):
         got = (np.pi / 32) * (rmat @ np.cos(m * th))
-        want = -2.0 * np.pi * s0_eigenvalue(m) * np.cos(m * th)
+        want = -2.0 * np.pi * s0_eigenvalues(m + 1)[m] * np.cos(m * th)
         assert np.max(np.abs(got - want)) < 1e-12
     const = (np.pi / 32) * rmat.sum(axis=1)
     assert np.max(np.abs(const + np.pi * math.log(2.0))) < 1e-12
@@ -303,8 +307,6 @@ def quad_complex(f, theta_n):
 
 
 def single_layer_oracle(arc, k, theta_n, dens):
-    from arcscat.specfun import kernel_split
-
     def f(tp):
         a1, a2 = kernel_split(k, arc, theta_n, tp)
         g = a1 * math.log(abs(math.cos(theta_n) - math.cos(tp))) + a2
@@ -314,8 +316,6 @@ def single_layer_oracle(arc, k, theta_n, dens):
 
 
 def smooth_hypersingular_oracle(arc, k, theta_n, dens):
-    from arcscat.specfun import kernel_split
-
     nrm_n = eval_arc(arc, math.cos(theta_n))[2]
 
     def f(tp):
@@ -703,7 +703,7 @@ def test_assemble_identity():
 
 
 def test_assemble_cap(monkeypatch):
-    monkeypatch.setattr(operators, "DENSE_CAP", 16)
+    monkeypatch.setattr(oracles, "DENSE_CAP", 16)
     with pytest.raises(ValueError):
         assemble_dense(lambda v: v, theta_grid(32))
 

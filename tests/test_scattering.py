@@ -43,6 +43,7 @@ from arcscat.scattering import (
     te_layer_density,
     tm_data,
 )
+from oracles import speed
 
 
 def make_solution(formulation, grid, values, arc=None, k=1.0):
@@ -851,10 +852,8 @@ def test_atkinson_on_a_reused_discretization_evaluates_no_arc_speed(monkeypatch)
     inc = Incidence(60.0, k)
     solve("TE_S", arc, inc, g)
     calls = []
-    real_speed, real_eval_arc = arcscat.geometry.speed, arcscat.geometry.eval_arc
+    real_eval_arc = arcscat.geometry.eval_arc
     for module in (arcscat.geometry, arcscat.grids, operators, scattering, specfun):
-        if hasattr(module, "speed"):
-            monkeypatch.setattr(module, "speed", lambda *a: calls.append(a) or real_speed(*a))
         if hasattr(module, "eval_arc"):
             monkeypatch.setattr(module, "eval_arc",
                                 lambda *a: calls.append(a) or real_eval_arc(*a))
@@ -863,7 +862,7 @@ def test_atkinson_on_a_reused_discretization_evaluates_no_arc_speed(monkeypatch)
     phi = te_layer_density(sol)
     assert sol.mat_seconds == 0.0 and calls == []
     # the same solve with tau evaluated as the arc speed
-    tau = real_speed(arc, np.cos(g.nodes))
+    tau = speed(arc, np.cos(g.nodes))
     apply_s = operator_action("S", sol.frame, memo_s(sol))
     x, report = gmres(lambda u: apply_s(s0_solve_values(u) / tau),
                       te_data(sol.frame.points, inc), tol=1e-8, maxit=2000)
@@ -919,6 +918,20 @@ def builds(monkeypatch):
 
     monkeypatch.setattr(scattering, "build_S_matrix", counting)
     return sizes
+
+
+@pytest.mark.parametrize("kwargs,error", [
+    (dict(maxit=5.5), TypeError),
+    (dict(maxit=True), TypeError),
+    (dict(maxit=0), ValueError),
+    (dict(tol=2.0), ValueError),
+    (dict(tol=math.nan), ValueError),
+    (dict(tol="1e-8"), TypeError),
+], ids=["maxit-float", "maxit-bool", "maxit-zero", "tol-above-one", "tol-nan", "tol-str"])
+def test_solve_checks_tol_and_maxit_before_building_s(builds, kwargs, error):
+    with pytest.raises(error, match=next(iter(kwargs))):
+        solve("TE_S", make_arc("strip"), Incidence(60.0, 3.0), theta_grid(32), **kwargs)
+    assert builds == []
 
 
 def same_bits(a, b):
