@@ -189,6 +189,8 @@ def cmd_converge(args) -> int:
     values = _parse_floats(args.n, name="--n")
     if not all(v.is_integer() for v in values):
         raise SystemExit(f"error: --n expects integer grid sizes, got {args.n!r}")
+    if any(v < 4 for v in values):
+        raise SystemExit(f"error: --n expects grid sizes of at least 4, got {args.n!r}")
     requested = sorted(int(v) for v in values)
     sizes = []
     for n in requested:
@@ -267,6 +269,9 @@ def cmd_tables(args) -> int:
     if args.table not in _TABLE_SPECS:
         raise SystemExit(f"error: unknown table {args.table!r}; "
                          f"expected one of {sorted(_TABLE_SPECS)}")
+    if not args.cap >= _TABLE_ROWS[0][0]:
+        raise SystemExit(f"error: --cap must be at least {_TABLE_ROWS[0][0]:g}, "
+                         "the smallest L/lambda of a table row")
     kind, formulations = _TABLE_SPECS[args.table]
     arc = make_arc(kind)
     rows = []

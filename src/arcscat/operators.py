@@ -1,9 +1,10 @@
 """Discrete boundary-integral operators on the cosine-node grid.
 
 Every action here maps node values (plain arrays) to node values.  The
-arc and k enter only through two objects a solve holds once per
-discretization: the node frame ``NFrame`` (points, tau, normals,
-k^2 sin^2 theta) and the Nystrom matrix S.  There are three groups.
+arc and k enter only through the one object a solve holds per
+discretization: the Nystrom matrix S, which carries the node frame
+``NFrame`` (points, tau, normals, k^2 sin^2 theta) it was built from.
+There are three groups.
 
 * The flat-arc zero-frequency single layer S0, diagonal in the cosine
   basis with eigenvalues ln2/2, 1/(2m), enters through its eigenvalues
@@ -82,12 +83,13 @@ def _row_bounds(n: int) -> tuple:
 @dataclass(frozen=True)
 class OperatorMatrix:
     """The Nystrom matrix S = K diag(weight) of one (arc, k, grid), with
-    its provenance.
+    its provenance and the node frame of the same discretization.
 
     K is symmetric, so only its upper row blocks K[r0:r1, r0:] are kept,
     for consecutive bounds r0, r1 of ``rows``: ``entries`` holds them one
     after the other, each in row order, including the whole diagonal
-    square of each block.  ``weight`` is w_j = (pi/N) tau_j."""
+    square of each block.  ``weight`` is w_j = (pi/N) tau_j, with tau
+    from ``frame``."""
 
     n: int
     k: float
@@ -95,6 +97,7 @@ class OperatorMatrix:
     entries: np.ndarray
     weight: np.ndarray
     rows: tuple
+    frame: NFrame
 
     def blocks(self) -> list:
         """(r0, r1, K[r0:r1, r0:]) for every stored block, the block a 2-D
@@ -220,7 +223,9 @@ def build_S_matrix(arc: Arc, k: float, grid: ThetaGrid) -> OperatorMatrix:
     stays on the calling thread.  Every other step, and every call into
     another arcscat module, stays on the calling thread.  ``dense()``
     is bitwise the same as a serial full-matrix build.  The log-rule
-    vector comes from one FFT, for an overall O(N^2 log N) build.
+    vector comes from one FFT, for an overall O(N^2 log N) build.  The
+    arc is evaluated once, by ``n_frame``, and S keeps that frame; every
+    array of the returned S and its frame is read-only.
     """
     if not np.isfinite(k):
         raise ValueError("build_S_matrix requires a finite wavenumber")
@@ -229,15 +234,15 @@ def build_S_matrix(arc: Arc, k: float, grid: ThetaGrid) -> OperatorMatrix:
                          "operator is diagonal in the cosine basis, see s0_eigenvalues")
     n = grid.n
     x = np.cos(grid.nodes)
-    points, _, _, tau = eval_arc(arc, x)
-    px, py = np.ascontiguousarray(points[:, 0]), np.ascontiguousarray(points[:, 1])
+    frame = n_frame(arc, k, grid)
+    px, py = (np.ascontiguousarray(c) for c in frame.points.T)
     r = build_log_quad(grid)
-    a2_diag = _a2_diagonal(k, tau)
+    a2_diag = _a2_diagonal(k, frame.tau)
 
     rows = _row_bounds(n)
     size = sum((r1 - r0) * (n - r0) for r0, r1 in zip(rows, rows[1:]))
     s = OperatorMatrix(n=n, k=k, arc=arc, entries=np.empty(size, dtype=complex),
-                       weight=(np.pi / n) * tau, rows=rows)
+                       weight=(np.pi / n) * frame.tau, rows=rows, frame=frame)
     blocks = s.blocks()
     # usable cores; platforms without affinity masks report every core
     workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -253,6 +258,8 @@ def build_S_matrix(arc: Arc, k: float, grid: ThetaGrid) -> OperatorMatrix:
                     block[a - r0 : b - r0, a - r0 :] = kernel[a - lo : b - lo, a - lo :]
                     block[a - r0 : b - r0, : a - r0] = block[: a - r0, a - r0 : b - r0].T
             lo = hi
+    for values in (s.entries, s.weight, *vars(frame).values()):
+        values.flags.writeable = False
     return s
 
 
@@ -277,10 +284,11 @@ def _s_products(s: OperatorMatrix, vectors) -> np.ndarray:
     return out
 
 
-def _n_terms(frame: NFrame, s: OperatorMatrix, values: np.ndarray):
-    """The two terms of N v: the smooth part
+def _n_terms(s: OperatorMatrix, values: np.ndarray):
+    """The two terms of N v on the node frame of S: the smooth part
     Ng v = k^2 sum_c n_c S(n_c sin^2 theta v) and (1/tau) D0 S T0_tau v.
     Their three S products share one blocked pass over S."""
+    frame = s.frame
     w = frame.ng_weight * values
     normals = frame.normals.T
     *ng_products, pv = _s_products(s, [*(n_c * w for n_c in normals),
@@ -289,14 +297,14 @@ def _n_terms(frame: NFrame, s: OperatorMatrix, values: np.ndarray):
     return ng, d0_values(pv) / frame.tau
 
 
-def n_apply(frame: NFrame, s: OperatorMatrix, values: np.ndarray) -> np.ndarray:
+def n_apply(s: OperatorMatrix, values: np.ndarray) -> np.ndarray:
     """Hypersingular pipeline Ng v + (1/tau) D0 S T0_tau v on raw samples
     (a density, or a stack of densities along the last axis)."""
-    ng, pv = _n_terms(frame, s, values)
+    ng, pv = _n_terms(s, values)
     return ng + pv
 
 
-def operator_action(name: str, frame: NFrame, s: OperatorMatrix):
+def operator_action(name: str, s: OperatorMatrix):
     """The action on a density, or on a stack of densities along the last
     axis, of ``S`` (weighted single layer), ``N`` (weighted
     hypersingular), ``NS`` (second-kind composition) or ``S0invS``
@@ -306,9 +314,9 @@ def operator_action(name: str, frame: NFrame, s: OperatorMatrix):
 
     actions = {
         "S": s_apply,
-        "N": lambda values: n_apply(frame, s, values),
-        "NS": lambda values: n_apply(frame, s, s_apply(values)),
-        "S0invS": lambda values: s_apply(s0tau_solve_values(frame, values)),
+        "N": lambda values: n_apply(s, values),
+        "NS": lambda values: n_apply(s, s_apply(values)),
+        "S0invS": lambda values: s_apply(s0tau_solve_values(s.frame, values)),
     }
     if name not in actions:
         raise ValueError(f"unknown operator name {name!r}; expected S, N, NS or S0invS")

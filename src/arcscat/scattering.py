@@ -19,11 +19,12 @@ single layer, nu = sin theta S psi or sin theta psi for the double
 layer), and far/near fields are quadratures of the layer representations
 with smooth even integrands, so the plain node rule is spectral.
 
-A solve evaluates the arc once per discretization: the right-hand side
-comes from its node frame (``te_data`` / ``tm_data`` of the frame's
-points and normals), and every ``Solution`` carries that frame and its
-layer density, which its density recovery and field evaluations read.
-Densities and data are plain arrays of node values.
+A solve evaluates the arc once per discretization, when S is built:
+S carries the node frame, the right-hand side comes from it (``te_data``
+/ ``tm_data`` of the frame's points and normals), and every ``Solution``
+carries that frame and its layer density, which its density recovery
+and field evaluations read.  Densities and data are plain arrays of node
+values.
 
 Far fields use the normalization
 
@@ -31,8 +32,8 @@ Far fields use the normalization
     TM:  v_inf(d_obs) = int_0^pi (-i k d_obs . n) e^{-i k d_obs . r}
                                psi_eff tau sin^2 theta dtheta
 
-(the overall radiating-cylinder constant is dropped; only relative
-far-field quantities are reported).
+which is the Colton-Kress far-field pattern: the scattered field is
+u_s ~ e^{i pi/4} (8 pi k rho)^{-1/2} e^{i k rho} u_inf as rho -> inf.
 """
 
 from __future__ import annotations
@@ -58,7 +59,6 @@ from .grids import (
 from .linalg import DENSE_CAP, SolveReport, gmres, gmres_limits
 from .operators import (
     NFrame,
-    OperatorMatrix,
     build_S_matrix,
     n_frame,
     operator_action,
@@ -144,51 +144,34 @@ def tm_data(points: np.ndarray, normals: np.ndarray, inc: Incidence) -> np.ndarr
     return -1j * inc.k * dn * np.exp(1j * inc.k * phase)
 
 
-@dataclass(frozen=True)
-class _Discretization:
-    """The incidence-independent part of a solve: S and the N frame of
-    the (arc, k, grid) S records, with the builder that assembled S."""
-
-    builder: object
-    s: OperatorMatrix
-    frame: NFrame
-
-    def matches(self, arc: Arc, k: float, grid: ThetaGrid) -> bool:
-        # Arc identity, not equality: Arc.__eq__ ignores the
-        # parameterization callables.  A builder since replaced (patched
-        # or instrumented) must assemble its own S.
-        return (self.s.arc is arc and self.s.k == k and self.s.n == grid.n
-                and self.builder is build_S_matrix)
-
-
-# One-slot memo of the last discretization solved on.  It is read once
-# and replaced by one assignment, without a lock: threads that race on a
-# miss may each build S, which wastes work but is correct, since every
-# build of one discretization gives the same S.
-_last: Optional[_Discretization] = None
+# One-slot memo (builder, S): the S of the last discretization solved on
+# and the builder that assembled it.  It is read once and replaced by one
+# assignment, without a lock: threads that race on a miss may each build
+# S, which wastes work but is correct, since every build of one
+# discretization gives the same S.
+_last: Optional[tuple] = None
 
 
 def _discretize(arc: Arc, k: float, grid: ThetaGrid):
-    """S and the N frame of (arc, k, grid), both read-only, reused from
-    the previous solve or ``dense_operator`` when it ran on the same
+    """S of (arc, k, grid), read-only and carrying its node frame, reused
+    from the previous solve or ``dense_operator`` when it ran on the same
     discretization, with the seconds spent assembling S (0.0 on reuse)."""
     global _last
-    last = _last
-    if last is not None and last.matches(arc, k, grid):
-        return last.s, last.frame, 0.0
+    builder, s = _last or (None, None)
+    # Arc identity, not equality: Arc.__eq__ ignores the parameterization
+    # callables.  A builder since replaced (patched or instrumented) must
+    # assemble its own S.
+    if builder is build_S_matrix and s.arc is arc and s.k == k and s.n == grid.n:
+        return s, 0.0
     # Empty the slot before building, so that the old S is freed first
     # and two of them are never resident at once.
-    _last = last = None
+    _last = s = None
     builder = build_S_matrix
     start = time.perf_counter()
     s = builder(arc, k, grid)
     mat_seconds = time.perf_counter() - start
-    frame = n_frame(arc, k, grid)
-    for values in (s.entries, s.weight, frame.points, frame.tau, frame.normals,
-                   frame.ng_weight):
-        values.flags.writeable = False
-    _last = _Discretization(builder=builder, s=s, frame=frame)
-    return s, frame, mat_seconds
+    _last = (builder, s)
+    return s, mat_seconds
 
 
 def solve(formulation: str, arc: Arc, inc: Incidence, grid: ThetaGrid,
@@ -202,12 +185,13 @@ def solve(formulation: str, arc: Arc, inc: Incidence, grid: ThetaGrid,
     stored blocks, so an N application costs one pass and an NS
     application two.
 
-    S and the N frame depend on the arc, k and the grid, not on the
-    incidence or the formulation, so a solve on the same ``arc`` object,
-    k and grid size as the last solve or ``dense_operator`` reuses them
-    and reports ``mat_seconds`` = 0.0.  The memo alone holds S: the last
-    S stays resident until a solve on another discretization replaces it
-    (331 MB at N = 6400), and no Solution keeps it alive.
+    S and the node frame it carries depend on the arc, k and the grid,
+    not on the incidence or the formulation, so a solve on the same
+    ``arc`` object, k and grid size as the last solve or
+    ``dense_operator`` reuses S and reports ``mat_seconds`` = 0.0.  The
+    memo alone holds S: the last S stays resident until a solve on
+    another discretization replaces it (331 MB at N = 6400), and no
+    Solution keeps it alive.
 
     Returns a Solution whose ``report`` carries the iteration count and
     residual history; ``report.converged`` is False when maxit was hit.
@@ -217,18 +201,19 @@ def solve(formulation: str, arc: Arc, inc: Incidence, grid: ThetaGrid,
         raise ValueError(f"unknown formulation {formulation!r}; expected one of {FORMULATIONS}")
     gmres_limits(tol, maxit)
     k = inc.k
-    s, frame, mat_seconds = _discretize(arc, k, grid)
-    action = operator_action(_OPERATORS[formulation], frame, s)
+    s, mat_seconds = _discretize(arc, k, grid)
+    frame = s.frame
+    action = operator_action(_OPERATORS[formulation], s)
     if formulation in TE_FORMULATIONS:
         b = te_data(frame.points, inc)
     else:
         b = tm_data(frame.points, frame.normals, inc)
     if formulation == "TE_NS":
-        b = operator_action("N", frame, s)(b)
+        b = operator_action("N", s)(b)
     x, report = gmres(action, b, tol=tol, maxit=maxit)
     layer = x
     if formulation == "TM_NS":
-        layer = operator_action("S", frame, s)(x)
+        layer = operator_action("S", s)(x)
     elif formulation == "TE_ATKINSON":
         layer = s0tau_solve_values(frame, x)
     return Solution(formulation=formulation, density=x, layer_density=layer, report=report,
@@ -237,9 +222,9 @@ def solve(formulation: str, arc: Arc, inc: Incidence, grid: ThetaGrid,
 
 
 def dense_operator(name: str, arc: Arc, k: float, grid: ThetaGrid) -> np.ndarray:
-    """Dense matrix of ``operator_action(name, ...)``, the action GMRES
-    applies, on the S and frame a solve on (arc, k, grid) shares and
-    leaves resident: for ``"S"`` a new array ``S.dense()``, else the
+    """Dense matrix of ``operator_action(name, S)``, the action GMRES
+    applies, on the S a solve on (arc, k, grid) shares and leaves
+    resident: for ``"S"`` a new array ``S.dense()``, else the
     action on the identity, applied to stacks of about N/8 of its columns
     at a time, so that the action's temporaries (about 12 densities per
     density for N) stay below twice the result.  Name and size are
@@ -248,10 +233,10 @@ def dense_operator(name: str, arc: Arc, k: float, grid: ThetaGrid) -> np.ndarray
         raise ValueError(f"unknown operator name {name!r}; expected S, N, NS or S0invS")
     if grid.n > DENSE_CAP:
         raise ValueError(f"dense assembly capped at {DENSE_CAP}, requested {grid.n}")
-    s, frame, _ = _discretize(arc, k, grid)
+    s, _ = _discretize(arc, k, grid)
     if name == "S":
         return s.dense()
-    action, n = operator_action(name, frame, s), grid.n
+    action, n = operator_action(name, s), grid.n
     dense = np.empty((n, n), dtype=complex)
     step = -(-n // 8)
     for c0 in range(0, n, step):
@@ -357,7 +342,8 @@ def _interpolate_periodic(samples: np.ndarray, m: int) -> np.ndarray:
 
 
 def far_field(sol: Solution, m: int) -> FarField:
-    """Far-field samples at m uniformly spaced observation angles.
+    """Far-field samples at m uniformly spaced observation angles, of the
+    Colton-Kress pattern u_inf of the module docstring.
 
     Both far fields are sums over the nodes of exp(-i k d_obs . r) times a
     density column (TM applies d_obs . n after the sum, through the

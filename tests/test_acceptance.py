@@ -189,7 +189,7 @@ def test_criterion_05_matrix_oracle_equivalence():
         arc = make_arc(kind)
         s = build_S_matrix(arc, k, g)
         s_applied = s.dense() @ np.exp(np.cos(g.nodes))
-        ng_applied = _n_terms(n_frame(arc, k, g), s, np.exp(np.cos(g.nodes)))[0]
+        ng_applied = _n_terms(s, np.exp(np.cos(g.nodes)))[0]
         for idx in (3, 17, 31, 44, 60):
             th_n = g.nodes[idx]
             nrm_n = eval_arc(arc, math.cos(th_n))[2]

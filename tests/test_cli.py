@@ -2,6 +2,7 @@
 
 import re
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -200,6 +201,15 @@ def test_converge_rejects_non_integer_sizes(tmp_path, sizes):
     assert not (tmp_path / "converge.csv").exists()
 
 
+@pytest.mark.parametrize("sizes", ["-5,0,64", "2,3,64"])
+def test_converge_rejects_sizes_below_four(tmp_path, monkeypatch, sizes):
+    monkeypatch.setattr(cli, "_run_solve", lambda *args: pytest.fail("a solve ran"))
+    with pytest.raises(SystemExit, match=re.escape("error: --n expects grid sizes of at least 4")):
+        run(["converge", "--arc", "strip", "--ratio", "1", f"--n={sizes}",
+             "--out", str(tmp_path)])
+    assert not (tmp_path / "converge.csv").exists()
+
+
 def test_converge_monotone(tmp_path):
     out = tmp_path / "conv"
     rc = run(["converge", "--arc", "strip", "--ratio", "10",
@@ -314,6 +324,29 @@ def test_tables_self_check_builds_s_once_per_grid(tmp_path, monkeypatch):
     rows = [line.split(",") for line in (out / "table_strip-tm.csv").read_text().splitlines()[1:]]
     assert [row[:3] for row in rows] == [["50", "400", "TM_N"], ["50", "400", "TM_NS"]]
     assert all(0.0 <= float(row[6]) < 1e-6 for row in rows)
+
+
+@pytest.mark.parametrize("cap", ["nan", "-1", "0", "49.9"])
+def test_tables_rejects_a_cap_below_the_smallest_row(tmp_path, monkeypatch, cap):
+    monkeypatch.setattr(cli, "_run_solve", lambda *args: pytest.fail("a solve ran"))
+    with pytest.raises(SystemExit, match=re.escape("error: --cap must be at least 50")):
+        run(["tables", "--table", "strip-tm", f"--cap={cap}", "--out", str(tmp_path)])
+    assert not (tmp_path / "table_strip-tm.csv").exists()
+
+
+def test_tables_cap_inf_runs_every_row(tmp_path, monkeypatch):
+    sizes = []
+
+    def stub(formulation, arc, inc, grid, args):
+        sizes.append(grid.n)
+        return SimpleNamespace(report=SimpleNamespace(iterations=1, elapsed=0.0),
+                               mat_seconds=0.0)
+
+    monkeypatch.setattr(cli, "_run_solve", stub)
+    assert run(["tables", "--table", "strip-tm", "--cap", "inf", "--out", str(tmp_path)]) == 0
+    assert sizes == [400, 400, 1600, 1600, 6400, 6400]
+    rows = (tmp_path / "table_strip-tm.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["50", "50", "200", "200", "800", "800"]
 
 
 def test_tables_unknown_id(tmp_path):

@@ -1,6 +1,8 @@
 """Cosine-node grid, fast expansions and the spectral first-order
 operators."""
 
+import bisect
+
 import numpy as np
 import pytest
 
@@ -58,22 +60,27 @@ def test_nearest_admissible():
     assert nearest_admissible(7) in (6, 8)
 
 
-def scan_nearest_admissible(n):
-    """The integer-by-integer scan nearest_admissible replaced: the
-    closest admissible size, ties upward, and 4 below 4."""
-    lo, hi = n, n
-    while not is_admissible(hi):
-        hi += 1
-    while lo >= 4 and not is_admissible(lo):
-        lo -= 1
-    if lo < 4:
+# every admissible size up to 60 000, ascending: the 2^a 3^b 5^c >= 4
+ADMISSIBLE_SIZES = sorted(p for p in (2 ** a * 3 ** b * 5 ** c for a in range(16)
+                                      for b in range(11) for c in range(7))
+                          if 4 <= p <= 60000)
+
+
+def bisected_nearest_admissible(n):
+    """The closest admissible size, ties upward, and 4 below 4, by
+    bisection in ADMISSIBLE_SIZES (n up to 30 000)."""
+    i = bisect.bisect_left(ADMISSIBLE_SIZES, n)
+    hi = ADMISSIBLE_SIZES[i]
+    if i == 0 or hi == n:
         return hi
+    lo = ADMISSIBLE_SIZES[i - 1]
     return lo if n - lo < hi - n else hi
 
 
 def test_nearest_admissible_matches_the_scan():
+    assert ADMISSIBLE_SIZES == [n for n in range(60001) if is_admissible(n)]
     for n in range(-3, 30001):
-        assert nearest_admissible(n) == scan_nearest_admissible(n), n
+        assert nearest_admissible(n) == bisected_nearest_admissible(n), n
 
 
 @pytest.mark.parametrize("n,nearest", [(10**12 + 1, 10**12), (10**18 + 1, 10**18),

@@ -348,7 +348,7 @@ def test_ng_matrix_against_adaptive_quadrature(kind):
     g = theta_grid(64)
     s = build_S_matrix(arc, k, g)
     dens = lambda tp: math.exp(math.cos(tp))
-    applied = _n_terms(n_frame(arc, k, g), s, np.exp(np.cos(g.nodes)))[0]
+    applied = _n_terms(s, np.exp(np.cos(g.nodes)))[0]
     for idx in (3, 17, 31, 44, 60):
         exact = smooth_hypersingular_oracle(arc, k, g.nodes[idx], dens)
         assert abs(applied[idx] - exact) / abs(exact) < 1e-9
@@ -387,6 +387,21 @@ def test_s_matrix_rejects_nonfinite_k(k):
         build_S_matrix(make_arc("strip"), k, theta_grid(16))
 
 
+def test_s_matrix_carries_its_read_only_node_frame():
+    # S is the discretization: every array of S and of its frame is
+    # read-only as built, and the frame is that of n_frame bitwise
+    arc, k, g = make_arc("spiral"), 3.0, theta_grid(32)
+    s = build_S_matrix(arc, k, g)
+    fresh = n_frame(arc, k, g)
+    for values in (s.entries, s.weight, s.blocks()[0][2]):
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = 0.0
+    for name in ("points", "tau", "normals", "ng_weight"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(s.frame, name)[0] = 0.0
+        assert same_bits(getattr(s.frame, name), getattr(fresh, name))
+
+
 # ---------------------------------------------------------------------------
 # packed storage of the symmetric kernel and its blocked products
 # ---------------------------------------------------------------------------
@@ -414,7 +429,7 @@ def test_packed_products_match_the_dense_s(monkeypatch, n, block_bytes, layout):
     else:
         assert len(heights) > 10 and heights[-1] == int(layout.split()[-2])
     dense = s.dense()
-    action = operator_action("S", n_frame(arc, k, g), s)
+    action = operator_action("S", s)
     v = rand_dv(g, 21)
     stack = np.array([rand_dv(g, seed) for seed in range(3)])
     for x in (v, stack):
@@ -577,7 +592,7 @@ def test_ng_strip_entrywise_relation():
     g = theta_grid(32)
     s = build_S_matrix(arc, k, g)
     v = rand_dv(g, 4)
-    got = _n_terms(n_frame(arc, k, g), s, v)[0]
+    got = _n_terms(s, v)[0]
     expect = s.dense() @ (k * k * np.sin(g.nodes) ** 2 * v)
     assert np.max(np.abs(got - expect)) < 1e-13 * np.max(np.abs(expect))
 
@@ -588,7 +603,7 @@ def test_ng_k_squared_prefactor():
     ratios = []
     for k in (1.0, 3.0):
         s = build_S_matrix(arc, k, g)
-        ng = np.column_stack([_n_terms(n_frame(arc, k, g), s, e)[0] for e in np.eye(g.n)])
+        ng = np.column_stack([_n_terms(s, e)[0] for e in np.eye(g.n)])
         ratios.append(ng / s.dense() / (k * k))
     assert np.max(np.abs(ratios[0] - ratios[1])) < 1e-12
 
@@ -604,11 +619,12 @@ def test_apply_n_zero_frequency_factorization(monkeypatch):
     arc = make_arc("strip")
     s0 = assemble_dense(s0_apply_values, g)
     monkeypatch.setattr(operators, "_s_products",
-                        lambda s, vectors: np.array([(s @ v.T).T for v in vectors]))
-    frame = n_frame(arc, 0.0, g)
+                        lambda s, vectors: np.array([(s.dense() @ v.T).T for v in vectors]))
+    # a stand-in for S: the dense S0 on the k = 0 node frame
+    flat = SimpleNamespace(frame=n_frame(arc, 0.0, g), dense=lambda: s0)
     for n in range(63):
         e = dv(np.cos(n * g.nodes))
-        lhs = n_apply(frame, s0, e)
+        lhs = n_apply(flat, e)
         rhs = n0_apply_values(e)
         assert np.max(np.abs(lhs - rhs)) < 1e-11
 
@@ -620,25 +636,25 @@ def test_n_stage_bitwise_equals_separate_products(n):
     arc = make_arc("spiral")
     k = wavenumber_for_ratio(arc, n / 8.0)
     g = theta_grid(n)
-    s, frame = build_S_matrix(arc, k, g), n_frame(arc, k, g)
-    apply_s = operator_action("S", frame, s)
+    s = build_S_matrix(arc, k, g)
+    apply_s = operator_action("S", s)
     v = rand_dv(g, 12)
     _, _, normals, tau = eval_arc(arc, np.cos(g.nodes))
     w = (k * k) * np.sin(g.nodes) ** 2 * v
     expect = (sum(n_c * apply_s(n_c * w) for n_c in normals.T)
               + d0_values(apply_s(t0_values(v) / tau)) / tau)
-    assert same_bits(n_apply(frame, s, v), expect)
+    assert same_bits(n_apply(s, v), expect)
 
 
 def test_apply_n_linearity():
     arc = make_arc("spiral")
     k = 3.0
     g = theta_grid(48)
-    s, frame = build_S_matrix(arc, k, g), n_frame(arc, k, g)
+    s = build_S_matrix(arc, k, g)
     u, v = rand_dv(g, 7), rand_dv(g, 8)
     a, b = 0.3 + 1.1j, -2.0 + 0.4j
-    lhs = n_apply(frame, s, a * u + b * v)
-    rhs = a * n_apply(frame, s, u) + b * n_apply(frame, s, v)
+    lhs = n_apply(s, a * u + b * v)
+    rhs = a * n_apply(s, u) + b * n_apply(s, v)
     assert np.max(np.abs(lhs - rhs)) < 1e-12 * np.max(np.abs(rhs))
 
 
@@ -646,12 +662,12 @@ def test_apply_ns_linearity():
     arc = make_arc("strip")
     k = 2.0
     g = theta_grid(32)
-    s, frame = build_S_matrix(arc, k, g), n_frame(arc, k, g)
+    s = build_S_matrix(arc, k, g)
     u, v = rand_dv(g, 9), rand_dv(g, 10)
     a, b = 1.7 - 0.3j, 0.2 + 0.9j
 
     def ns(x):
-        return n_apply(frame, s, operator_action("S", frame, s)(x))
+        return n_apply(s, operator_action("S", s)(x))
 
     lhs = ns(a * u + b * v)
     rhs = a * ns(u) + b * ns(v)
@@ -686,9 +702,9 @@ def test_tm_residual_end_to_end():
     inc = Incidence(angle_deg=90.0, k=k)
     tol = 1e-10
     sol = solve("TM_N", arc, inc, g, tol=tol)
-    frame = n_frame(arc, k, g)
-    rhs = tm_data(frame.points, frame.normals, inc)
-    resid = n_apply(frame, build_S_matrix(arc, k, g), sol.density) - rhs
+    s = build_S_matrix(arc, k, g)
+    rhs = tm_data(s.frame.points, s.frame.normals, inc)
+    resid = n_apply(s, sol.density) - rhs
     rel = np.max(np.abs(resid)) / np.max(np.abs(rhs))
     assert rel < 10 * tol
 
@@ -731,16 +747,17 @@ def test_assemble_ns_associativity(kind):
     arc = make_arc(kind)
     k = 2.0
     g = theta_grid(32)
-    s, frame = build_S_matrix(arc, k, g), n_frame(arc, k, g)
+    s = build_S_matrix(arc, k, g)
+    frame = s.frame
     dense = s.dense()
     eye = np.eye(g.n)
     ng = (k * k) * (frame.normals @ frame.normals.T) * np.sin(g.nodes) ** 2 * dense
     pv = d0_values(eye).T @ dense @ (t0_values(eye) / frame.tau).T
     nd = ng + pv / frame.tau[:, None]
-    piped_n = assemble_dense(lambda v: n_apply(frame, s, v), g)
+    piped_n = assemble_dense(lambda v: n_apply(s, v), g)
     assert np.max(np.abs(piped_n - nd)) < 1e-11
     assert np.max(np.abs(dense_operator("N", arc, k, g) - nd)) < 1e-11
-    piped = assemble_dense(lambda v: n_apply(frame, s, dense @ v), g)
+    piped = assemble_dense(lambda v: n_apply(s, dense @ v), g)
     product = nd @ dense
     assert np.max(np.abs(piped - product)) < 1e-11
     assert np.max(np.abs(dense_operator("NS", arc, k, g) - product)) < 1e-11
@@ -752,7 +769,7 @@ def test_operator_action_on_a_stack_matches_single_densities(kind, name):
     arc = make_arc(kind)
     k = wavenumber_for_ratio(arc, 4.0)
     g = theta_grid(64)
-    action = operator_action(name, n_frame(arc, k, g), build_S_matrix(arc, k, g))
+    action = operator_action(name, build_S_matrix(arc, k, g))
     stack = np.array([rand_dv(g, seed) for seed in range(5)])
     rows = np.array([action(v) for v in stack])
     got = action(stack)
@@ -763,7 +780,7 @@ def test_operator_action_on_a_stack_matches_single_densities(kind, name):
 def test_operator_action_rejects_an_unknown_name():
     arc, g = make_arc("strip"), theta_grid(16)
     with pytest.raises(ValueError, match="unknown operator name"):
-        operator_action("Q", n_frame(arc, 1.0, g), build_S_matrix(arc, 1.0, g))
+        operator_action("Q", build_S_matrix(arc, 1.0, g))
 
 
 def test_discrete_calderon_identity():
@@ -830,7 +847,7 @@ def test_dense_operator_works_in_column_batches(name, allocation_peak):
     dense = []
     peak = allocation_peak(lambda: dense.append(dense_operator(name, arc, k, g)))
     assert peak <= 3 * dense[0].nbytes
-    whole = operator_action(name, n_frame(arc, k, g), build_S_matrix(arc, k, g))(np.eye(g.n)).T
+    whole = operator_action(name, build_S_matrix(arc, k, g))(np.eye(g.n)).T
     assert np.max(np.abs(dense[0] - whole)) < 1e-11
 
 

@@ -61,9 +61,10 @@ def make_solution(formulation, grid, values, arc=None, k=1.0):
 def memo_s(sol):
     """The S of the solve's discretization, which the memo still holds
     (a Solution keeps its layer density, not S)."""
-    last = scattering._last
-    assert last is not None and last.matches(sol.arc, sol.k, sol.grid)
-    return last.s
+    assert scattering._last is not None
+    s = scattering._last[1]
+    assert s.arc is sol.arc and s.k == sol.k and s.n == sol.grid.n and s.frame is sol.frame
+    return s
 
 
 def node_te_data(arc, inc, grid):
@@ -339,6 +340,29 @@ def test_far_field_reciprocity():
     i_alpha = int(round(((alpha + 180.0) % 360.0) / (360.0 / m)))
     diff = abs(fa.values[i_beta] - fb.values[i_alpha])
     assert diff < 1e-6 * np.max(np.abs(fa.values))
+
+
+@pytest.mark.parametrize("kind,ratio,n", [
+    ("strip", 5.0, 128), ("spiral", 5.0, 128), ("parabola", 5.0, 128),
+    ("halfcircle", 5.0, 128), ("spiral", 50.0, 256),
+])
+def test_optical_theorem(kind, ratio, n):
+    # With u_s ~ e^{i pi/4} (8 pi k rho)^{-1/2} e^{i k rho} u_inf, energy
+    # conservation gives int |u_inf|^2 = 8 pi Im u_inf(d) for both
+    # polarizations: a check of the TM sign, the normal orientation and
+    # the far field's absolute weight.  It holds on under-resolved grids
+    # too (eps_r is about 1e-2 on the spiral at L/lambda = 50, N = 256),
+    # so it checks the code, not the accuracy.
+    arc = make_arc(kind)
+    k = wavenumber_for_ratio(arc, ratio)
+    g, m = theta_grid(n), 720
+    for angle in (37.5, 90.0):
+        for formulation in FORMULATIONS:
+            ff = far_field(solve(formulation, arc, Incidence(angle, k), g, tol=1e-13), m)
+            power = 2.0 * np.pi / m * np.sum(np.abs(ff.values) ** 2)
+            forward = ff.values[int(round(angle * m / 360.0))]
+            assert abs(power - 8.0 * np.pi * forward.imag) <= 1e-12 * power, \
+                (formulation, angle)
 
 
 CROSS_ARCS = [("strip", ()), ("spiral", ()), ("parabola", ()), ("halfcircle", ()),
@@ -812,6 +836,14 @@ def test_incident_field_values():
     assert abs(u[1] - 1.0) < 1e-15
 
 
+def test_a_fresh_solve_evaluates_the_arc_once(monkeypatch):
+    frames = []
+    real = operators.eval_arc
+    monkeypatch.setattr(operators, "eval_arc", lambda *args: frames.append(args) or real(*args))
+    solve("TM_NS", make_arc("spiral"), Incidence(60.0, 3.0), theta_grid(64))
+    assert len(frames) == 1
+
+
 def test_solves_and_fields_on_one_discretization_share_its_frame(monkeypatch):
     # The right-hand sides, far fields and near fields read the node frame
     # of the solve's discretization; the arc is evaluated at the nodes when
@@ -863,7 +895,7 @@ def test_atkinson_on_a_reused_discretization_evaluates_no_arc_speed(monkeypatch)
     assert sol.mat_seconds == 0.0 and calls == []
     # the same solve with tau evaluated as the arc speed
     tau = speed(arc, np.cos(g.nodes))
-    apply_s = operator_action("S", sol.frame, memo_s(sol))
+    apply_s = operator_action("S", memo_s(sol))
     x, report = gmres(lambda u: apply_s(s0_solve_values(u) / tau),
                       te_data(sol.frame.points, inc), tol=1e-8, maxit=2000)
     assert report.iterations == sol.report.iterations
