@@ -358,6 +358,8 @@ def main(argv=None) -> int:
         raise SystemExit("error: --tol must be in (0, 1)")
     if "obs" in args and args.obs < 1:
         raise SystemExit("error: --obs must be at least 1")
+    if "inc_deg" in args and not np.isfinite(args.inc_deg):
+        raise SystemExit("error: --inc-deg must be finite")
     return args.func(args)
 
 

@@ -35,25 +35,19 @@ import scipy.fft
 
 
 def is_admissible(n: int) -> bool:
-    """True when n >= 4 and n factors over {2, 3, 5} (fast FFT sizes)."""
-    if n < 4:
-        return False
-    for p in (2, 3, 5):
-        while n % p == 0:
-            n //= p
-    return n == 1
+    """True when n >= 4 and n factors over {2, 3, 5} (fast FFT sizes);
+    raises as ``nearest_admissible`` does for sizes beyond about 1.7e18."""
+    return n >= 4 and scipy.fft.next_fast_len(n, real=True) == n
 
 
 def nearest_admissible(n: int) -> int:
     """Closest admissible grid size to n (ties resolved upward; 4 for
-    n < 4), from the p 2^a nearest n for each p = 3^b 5^c below 2n."""
+    n < 4).  Sizes beyond the largest that ``scipy.fft`` plans (about
+    1.7e18) raise ValueError, and sizes from 2^63 on OverflowError."""
     n = operator.index(n)
     if n < 4:
         return 4
-    exponents = range(n.bit_length())
-    odd = [3 ** b * 5 ** c for b in exponents for c in exponents if 3 ** b * 5 ** c < 2 * n]
-    lo = max(p << ((n // p).bit_length() - 1) for p in odd if p <= n)
-    hi = min(p << (-(-n // p) - 1).bit_length() for p in odd)
+    lo, hi = scipy.fft.prev_fast_len(n, real=True), scipy.fft.next_fast_len(n, real=True)
     return lo if n - lo < hi - n else hi
 
 

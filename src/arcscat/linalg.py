@@ -38,7 +38,6 @@ class SolveReport:
     residuals: List[float]
     converged: bool
     elapsed: float
-    n: int
     final_residual: float = field(default=np.nan)
 
 
@@ -90,7 +89,7 @@ def gmres(apply_op: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:  # dark data, e.g. TM on the strip at horizontal incidence
         return np.zeros(n, dtype=complex), SolveReport(
-            iterations=0, residuals=[], converged=True, elapsed=0.0, n=n, final_residual=0.0)
+            iterations=0, residuals=[], converged=True, elapsed=0.0, final_residual=0.0)
     maxit = min(maxit, n)
 
     basis = np.empty((maxit + 1, n), dtype=complex)
@@ -150,7 +149,7 @@ def gmres(apply_op: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
     x = basis[:steps].T @ y
     final = float(np.linalg.norm(b - apply_op(x)) / bnorm)
     report = SolveReport(iterations=steps, residuals=residuals, converged=converged,
-                         elapsed=time.perf_counter() - start, n=n, final_residual=final)
+                         elapsed=time.perf_counter() - start, final_residual=final)
     return x, report
 
 

@@ -158,10 +158,9 @@ def _discretize(arc: Arc, k: float, grid: ThetaGrid):
     discretization, with the seconds spent assembling S (0.0 on reuse)."""
     global _last
     builder, s = _last or (None, None)
-    # Arc identity, not equality: Arc.__eq__ ignores the parameterization
-    # callables.  A builder since replaced (patched or instrumented) must
-    # assemble its own S.
-    if builder is build_S_matrix and s.arc is arc and s.k == k and s.n == grid.n:
+    # Equal arcs are the same curve.  A builder since replaced (patched
+    # or instrumented) must assemble its own S.
+    if builder is build_S_matrix and s.arc == arc and s.k == k and s.n == grid.n:
         return s, 0.0
     # Empty the slot before building, so that the old S is freed first
     # and two of them are never resident at once.
@@ -186,8 +185,8 @@ def solve(formulation: str, arc: Arc, inc: Incidence, grid: ThetaGrid,
     application two.
 
     S and the node frame it carries depend on the arc, k and the grid,
-    not on the incidence or the formulation, so a solve on the same
-    ``arc`` object, k and grid size as the last solve or
+    not on the incidence or the formulation, so a solve on an equal
+    arc, the same k and grid size as the last solve or
     ``dense_operator`` reuses S and reports ``mat_seconds`` = 0.0.  The
     memo alone holds S: the last S stays resident until a solve on
     another discretization replaces it (331 MB at N = 6400), and no
@@ -425,7 +424,7 @@ def _layer_sums(pts: np.ndarray, nodes_xy: np.ndarray, normals: np.ndarray,
                 tm: bool) -> np.ndarray:
     """w * sum_j K(x, r_j) density_j at each point x, where K is the
     single-layer (TE) or double-layer (TM) kernel; points closer than
-    ``mask_distance`` to a node are NaN."""
+    ``mask_distance`` to a node, or on one, are NaN."""
     count = len(pts)
     if count == 1:
         # a lone point is evaluated as a two-row block, like any other
@@ -436,8 +435,10 @@ def _layer_sums(pts: np.ndarray, nodes_xy: np.ndarray, normals: np.ndarray,
         dx = block[:, 0][:, None] - nodes_xy[:, 0][None, :]
         dy = block[:, 1][:, None] - nodes_xy[:, 1][None, :]
         dist = np.hypot(dx, dy)
-        near = dist.min(axis=1) < mask_distance
-        dist[dist == 0.0] = 1.0  # masked anyway
+        closest = dist.min(axis=1)
+        # a point on a node is masked even when mask_distance is 0
+        near = (closest < mask_distance) | (closest == 0.0)
+        dist[dist == 0.0] = 1.0  # rows masked above
         if tm:
             # grad_y G . n_y with G = (i/4) H_0^1(k |x - y|)
             kernel = (0.25j * k) * hankel1_1(k * dist) * \
@@ -506,7 +507,8 @@ def near_field(sol: Solution, points: np.ndarray,
     ``points`` has shape (2,), which gives a scalar, or (P, 2).  Points
     closer to the arc than ``mask_distance`` (default: twice the maximum
     node spacing, below which the smooth rule degrades) are returned as
-    NaN.  No singularity-cancellation close evaluation is attempted.
+    NaN, as is a point on a node, whatever the mask.  No
+    singularity-cancellation close evaluation is attempted.
 
     Each point is evaluated with the node rule on M <= N nodes, chosen
     from two bandwidths (Trefethen & Weideman, SIAM Rev. 56, 2014):

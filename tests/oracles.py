@@ -120,8 +120,8 @@ def assemble_dense(op, grid: ThetaGrid) -> np.ndarray:
 # ---------------------------------------------------------------------------
 def speed(arc: Arc, t):
     """tau(t) = |r'(t)| for scalar or array t."""
-    dx, dy = arc._vel(np.asarray(t, dtype=float))
-    return np.hypot(dx, dy)
+    _, tangent, _, _ = eval_arc(arc, t)
+    return np.hypot(tangent[..., 0], tangent[..., 1])
 
 
 def kernel_split(k: float, arc: Arc, theta, theta_p):

@@ -118,8 +118,13 @@ def test_maxit_below_one_rejected(tmp_path):
     ("solve", ["--ratio", "10", "--tol", "1.5"], "--tol must be in (0, 1)"),
     ("solve", ["--ratio", "10", "--tol", "nan"], "--tol must be in (0, 1)"),
     ("converge", ["--ratio", "10", "--obs", "0"], "--obs must be at least 1"),
+    ("solve", ["--ratio", "1", "--inc-deg", "nan"], "--inc-deg must be finite"),
+    ("solve", ["--ratio", "1", "--inc-deg", "inf"], "--inc-deg must be finite"),
+    ("converge", ["--ratio", "1", "--inc-deg", "nan"], "--inc-deg must be finite"),
+    ("fieldmap", ["--ratio", "1", "--inc-deg=-inf"], "--inc-deg must be finite"),
 ], ids=["k-nan", "k-negative", "ratio-inf", "spectrum-k-zero", "tol-zero", "tol-above-one",
-        "tol-nan", "converge-obs-zero"])
+        "tol-nan", "converge-obs-zero", "inc-deg-nan", "inc-deg-inf", "converge-inc-deg-nan",
+        "fieldmap-inc-deg-minus-inf"])
 def test_bad_numbers_rejected(tmp_path, command, flags, message):
     with pytest.raises(SystemExit, match=re.escape(f"error: {message}")):
         run([command, "--arc", "strip", "--n", "64", *flags, "--out", str(tmp_path)])
@@ -332,6 +337,13 @@ def test_tables_rejects_a_cap_below_the_smallest_row(tmp_path, monkeypatch, cap)
     with pytest.raises(SystemExit, match=re.escape("error: --cap must be at least 50")):
         run(["tables", "--table", "strip-tm", f"--cap={cap}", "--out", str(tmp_path)])
     assert not (tmp_path / "table_strip-tm.csv").exists()
+
+
+@pytest.mark.parametrize("angle", ["nan", "inf"])
+def test_tables_rejects_a_non_finite_incidence(tmp_path, monkeypatch, angle):
+    monkeypatch.setattr(cli, "_run_solve", lambda *args: pytest.fail("a solve ran"))
+    with pytest.raises(SystemExit, match=re.escape("error: --inc-deg must be finite")):
+        run(["tables", "--table", "strip-tm", "--inc-deg", angle, "--out", str(tmp_path)])
 
 
 def test_tables_cap_inf_runs_every_row(tmp_path, monkeypatch):

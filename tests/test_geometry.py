@@ -1,13 +1,14 @@
 """Arc parameterizations, frames, lengths and wavenumber scaling."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from arcscat import geometry
-from arcscat.geometry import eval_arc, make_arc, wavenumber_for_ratio
+from arcscat.geometry import Arc, eval_arc, make_arc, wavenumber_for_ratio
 from oracles import speed
 
 ALL_KINDS = [("strip", ()), ("spiral", ()), ("parabola", ()), ("halfcircle", ()),
@@ -50,8 +51,8 @@ def test_circlecavity_length():
 def test_length_quadrature_converged():
     for kind, params in ALL_KINDS:
         arc = make_arc(kind, params)
-        fine = geometry._fejer_length(arc._vel, 16384)
-        coarse = geometry._fejer_length(arc._vel, 8192)
+        fine = geometry._fejer_length(arc.kind, arc.params, 16384)
+        coarse = geometry._fejer_length(arc.kind, arc.params, 8192)
         assert abs(fine - coarse) < 1e-12 * abs(fine)
 
 
@@ -137,6 +138,36 @@ def test_circlecavity_rejects_non_finite_params(params, name):
         make_arc("circlecavity", params)
     other = "gap_arclength" if name == "radius" else "radius"
     assert other not in str(info.value)
+
+
+@pytest.mark.parametrize("kind,params", ALL_KINDS)
+def test_arc_round_trips_through_pickle(kind, params):
+    arc = make_arc(kind, params)
+    copy = pickle.loads(pickle.dumps(arc))
+    assert copy == arc and copy.length == arc.length
+    t = np.linspace(-1.0, 1.0, 9)
+    for a, b in zip(eval_arc(copy, t), eval_arc(arc, t)):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_arc_is_its_kind_and_params():
+    arc = Arc("circlecavity", [1, 0.5])
+    assert arc == make_arc("circlecavity", (1.0, 0.5)) and arc.params == (1.0, 0.5)
+    assert hash(arc) == hash(make_arc("circlecavity", (1.0, 0.5)))
+    assert arc != make_arc("circlecavity", (1.0, 0.25))
+    assert make_arc("spiral") == Arc("spiral") != Arc("strip")
+    with pytest.raises(TypeError):
+        Arc("strip", (), 2.0)
+
+
+@pytest.mark.parametrize("kind,params,message", [
+    ("circlecavity", (1.0, -1.0), "gap_arclength must"),
+    ("strip", (3.0,), "takes no parameters"),
+    ("helix", (), "unknown arc kind"),
+])
+def test_arc_checks_itself_on_construction(kind, params, message):
+    with pytest.raises(ValueError, match=message):
+        Arc(kind, params)
 
 
 def test_eval_vectorized_shapes():

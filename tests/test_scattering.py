@@ -52,7 +52,7 @@ def make_solution(formulation, grid, values, arc=None, k=1.0):
     assert formulation in ("TE_S", "TM_N")
     arc = arc or make_arc("strip")
     density = np.asarray(values, dtype=complex)
-    report = SolveReport(iterations=0, residuals=[], converged=True, elapsed=0.0, n=grid.n)
+    report = SolveReport(iterations=0, residuals=[], converged=True, elapsed=0.0)
     return Solution(formulation=formulation, density=density, layer_density=density,
                     report=report, arc=arc, k=k, grid=grid, incidence=Incidence(90.0, k),
                     frame=n_frame(arc, k, grid))
@@ -643,6 +643,17 @@ def test_near_field_rejects_a_bad_mask_distance(mask_distance):
         near_field(sol, [[0.0, 1e-9]], mask_distance=mask_distance)
 
 
+@pytest.mark.parametrize("formulation", ["TE_S", "TM_N"])
+def test_near_field_on_a_node_is_nan_whatever_the_mask(formulation):
+    arc = make_arc("strip")
+    k = wavenumber_for_ratio(arc, 2.0)
+    sol = solve(formulation, arc, Incidence(60.0, k), theta_grid(64))
+    node = sol.frame.points[10]
+    u = near_field(sol, [node, node + [0.0, 0.5]], mask_distance=0.0)
+    assert np.isnan(u[0]) and np.isfinite(u[1])
+    assert np.isnan(near_field(sol, node, mask_distance=0.0))
+
+
 def test_near_field_of_no_points_is_empty():
     sol = make_solution("TE_S", theta_grid(32), np.ones(32, dtype=complex), k=3.0)
     u = near_field(sol, np.zeros((0, 2)))
@@ -986,7 +997,8 @@ def test_second_solve_reuses_s(builds):
 
 @pytest.mark.parametrize("change,rebuilds", [
     ("k", True),
-    ("arc object", True),
+    ("equal arc", False),
+    ("other arc", True),
     ("n", True),
     ("builder", True),
     ("fresh grid", False),
@@ -998,8 +1010,10 @@ def test_which_changes_rebuild_s(builds, monkeypatch, change, rebuilds):
     form, angle = "TE_S", 60.0
     if change == "k":
         k = 4.0
-    elif change == "arc object":
+    elif change == "equal arc":
         arc = make_arc("strip")
+    elif change == "other arc":
+        arc = make_arc("parabola")
     elif change == "n":
         n = 48
     elif change == "builder":
@@ -1010,6 +1024,14 @@ def test_which_changes_rebuild_s(builds, monkeypatch, change, rebuilds):
     sol = solve(form, arc, Incidence(angle, k), theta_grid(n))
     assert len(builds) == (2 if rebuilds else 1)
     assert (sol.mat_seconds == 0.0) is not rebuilds
+
+
+def test_solves_on_equal_arcs_build_s_once(builds):
+    g = theta_grid(64)
+    first = solve("TE_S", make_arc("spiral"), Incidence(60.0, 3.0), g)
+    second = solve("TE_S", make_arc("spiral"), Incidence(60.0, 3.0), g)
+    assert builds == [64] and second.mat_seconds == 0.0
+    assert same_bits(second.density, first.density)
 
 
 def test_dense_s_is_the_solves_s(builds):
