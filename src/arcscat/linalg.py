@@ -93,7 +93,9 @@ def gmres(apply_op: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
     maxit = min(maxit, n)
 
     basis = np.empty((maxit + 1, n), dtype=complex)
-    h = np.zeros((maxit + 1, maxit), dtype=complex)
+    # Hessenberg column j, rotated, as it is made: its storage grows with
+    # the steps taken, not with maxit
+    columns: List[np.ndarray] = []
     # Givens cosines and sines, and the rotated right-hand side, as Python
     # scalars: their per-entry updates are cheaper than on numpy scalars
     cs: List[complex] = []
@@ -110,15 +112,16 @@ def gmres(apply_op: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
             raise GmresError(f"operator produced non-finite values at iteration {j + 1}")
         # classical Gram-Schmidt, twice (CGS2): two BLAS-2 projections
         v = basis[: j + 1]
+        h = np.zeros(j + 2, dtype=complex)
         for _ in range(2):
             c = (v @ w.conj()).conj()  # c_i = <v_i, w>
             w -= c @ v
-            h[: j + 1, j] += c
+            h[: j + 1] += c
         wnorm = np.linalg.norm(w)
-        h[j + 1, j] = wnorm
+        h[j + 1] = wnorm
 
-        # previously accumulated rotations, then a new one zeroing h[j+1, j]
-        col = h[: j + 2, j].tolist()
+        # previously accumulated rotations, then a new one zeroing h[j+1]
+        col = h.tolist()
         for i in range(j):
             col[i], col[i + 1] = (cs[i].conjugate() * col[i] + sn[i].conjugate() * col[i + 1],
                                   -sn[i] * col[i] + cs[i] * col[i + 1])
@@ -129,8 +132,8 @@ def gmres(apply_op: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
         else:
             cs.append(col[j] / denom)
             sn.append(col[j + 1] / denom)
-        col[j], col[j + 1] = denom, 0.0
-        h[: j + 2, j] = col
+        col[j] = denom
+        columns.append(np.array(col[: j + 1], dtype=complex))
         g.append(-sn[j] * g[j])
         g[j] = cs[j].conjugate() * g[j]
 
@@ -145,7 +148,11 @@ def gmres(apply_op: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
             break
         basis[j + 1] = w / wnorm
 
-    y = np.linalg.solve(h[:steps, :steps], np.array(g[:steps]))
+    # the rotated Hessenberg's upper triangle, steps x steps
+    triangle = np.zeros((steps, steps), dtype=complex)
+    for j, column in enumerate(columns):
+        triangle[: j + 1, j] = column
+    y = np.linalg.solve(triangle, np.array(g[:steps]))
     x = basis[:steps].T @ y
     final = float(np.linalg.norm(b - apply_op(x)) / bnorm)
     report = SolveReport(iterations=steps, residuals=residuals, converged=converged,

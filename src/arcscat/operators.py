@@ -50,19 +50,18 @@ import numpy as np
 import scipy.fft
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import specfun
 from .geometry import Arc, eval_arc
 from .grids import ThetaGrid, coeffs_from_values, d0_values, t0_values, values_from_coeffs
 from .specfun import _a1a2_offdiag, _a2_diagonal
 
 # An upper-triangle row panel of the S assembly holds about
-# min(max(PANEL_ENTRIES, N^2 / 64), ROW_BLOCK_BYTES / 16) kernel entries.
-# Up to N = 1024 a panel's temporaries (about 40 bytes an entry) fit in a
-# 2 MiB L2, and its diagonal square, evaluated whole, stays small.  Each
-# panel ends in a wait for the J0/Y0 pool, which costs milliseconds on a
-# busy host, so panels grow like N^2 / 64 up to N = 2896; beyond that
-# they hold the entries of one stored block (two pool tasks), so their
-# temporaries stay bounded whatever N.
-PANEL_ENTRIES = 1 << 14
+# min(max(specfun.CHUNK_ENTRIES, N^2 / 64), ROW_BLOCK_BYTES / 16) kernel
+# entries.  Up to N = 1024 a panel is one L2-sized chunk, and its diagonal
+# square, evaluated whole, stays small.  Each panel ends in a wait for the
+# J0/Y0 pool, which costs milliseconds on a busy host, so panels grow like
+# N^2 / 64 up to N = 2896; beyond that they hold the entries of one stored
+# block, so their temporaries stay bounded whatever N.
 # bytes of K per stored row block, the unit of the blocked S products
 ROW_BLOCK_BYTES = 2 << 20
 
@@ -209,17 +208,18 @@ def build_S_matrix(arc: Arc, k: float, grid: ThetaGrid) -> OperatorMatrix:
     single-layer integral.  S = K diag(w) with w_j = (pi/N) tau_j, and
     the kernel K is symmetric to the last bit, because R, the distances
     and the cosine gaps are.  So K is evaluated on the upper triangle
-    only, in row panels of max(``PANEL_ENTRIES``, N^2/64) entries, but
-    never more than one stored block holds (``ROW_BLOCK_BYTES`` / 16, so
-    the panels' temporaries are bounded whatever N), and stored once,
-    unweighted, in the row blocks of ``OperatorMatrix`` (sized by
-    ``ROW_BLOCK_BYTES`` for the products, not by the panels):
+    only, in row panels of max(``specfun.CHUNK_ENTRIES``, N^2/64)
+    entries, but never more than one stored block holds
+    (``ROW_BLOCK_BYTES`` / 16, so the panels' temporaries are bounded
+    whatever N), and stored once, unweighted, in the row blocks of
+    ``OperatorMatrix`` (sized by ``ROW_BLOCK_BYTES`` for the products,
+    not by the panels):
     each panel is copied into the blocks its rows fall in, and the part
     of a block's diagonal square left of the panel is filled by a
     transpose copy of the block's earlier rows.  J0/Y0, most of the cost,
-    run in chunks of ``specfun.A1A2_CHUNK`` entries on a thread pool
+    run in chunks of ``specfun.CHUNK_ENTRIES`` entries on a thread pool
     sized to the usable cores (no pool with one core) that lives for
-    this call; a panel of one chunk or less (every panel for N <= 2048)
+    this call; a panel of one chunk or less (every panel for N <= 1024)
     stays on the calling thread.  Every other step, and every call into
     another arcscat module, stays on the calling thread.  ``dense()``
     is bitwise the same as a serial full-matrix build.  The log-rule
@@ -248,7 +248,7 @@ def build_S_matrix(arc: Arc, k: float, grid: ThetaGrid) -> OperatorMatrix:
     workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                else os.cpu_count() or 1)
     with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
-        panel, lo = min(max(PANEL_ENTRIES, n * n // 64), ROW_BLOCK_BYTES // 16), 0
+        panel, lo = min(max(specfun.CHUNK_ENTRIES, n * n // 64), ROW_BLOCK_BYTES // 16), 0
         while lo < n:
             hi = min(n, lo + max(1, panel // (n - lo)))
             kernel = _kernel_panel(k, x, px, py, r, a2_diag[lo:hi], lo, hi, pool)

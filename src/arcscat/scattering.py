@@ -48,6 +48,7 @@ from typing import Optional
 import numpy as np
 import scipy.fft
 
+from . import specfun
 from .geometry import Arc
 from .grids import (
     ThetaGrid,
@@ -173,6 +174,20 @@ def _discretize(arc: Arc, k: float, grid: ThetaGrid):
     return s, mat_seconds
 
 
+# What each problem argument of solve and dense_operator must be.
+_ARGUMENT_TYPES = {"arc": (Arc, "an Arc, from make_arc(kind)"),
+                   "inc": (Incidence, "an Incidence(angle_deg, k)"),
+                   "grid": (ThetaGrid, "a ThetaGrid, from theta_grid(n)")}
+
+
+def _check_types(**arguments) -> None:
+    """Reject a wrongly typed problem argument by name, before S is built."""
+    for name, value in arguments.items():
+        cls, what = _ARGUMENT_TYPES[name]
+        if not isinstance(value, cls):
+            raise TypeError(f"{name} must be {what}, not {type(value).__name__}")
+
+
 def solve(formulation: str, arc: Arc, inc: Incidence, grid: ThetaGrid,
           tol: float = 1e-8, maxit: int = 2000) -> Solution:
     """Run GMRES on the chosen equation, with S assembled once per
@@ -194,10 +209,12 @@ def solve(formulation: str, arc: Arc, inc: Incidence, grid: ThetaGrid,
 
     Returns a Solution whose ``report`` carries the iteration count and
     residual history; ``report.converged`` is False when maxit was hit.
-    The formulation, ``tol`` and ``maxit`` are checked before S is built.
+    The formulation, the types of ``arc``, ``inc`` and ``grid``, ``tol``
+    and ``maxit`` are checked before S is built.
     """
     if formulation not in FORMULATIONS:
         raise ValueError(f"unknown formulation {formulation!r}; expected one of {FORMULATIONS}")
+    _check_types(arc=arc, inc=inc, grid=grid)
     gmres_limits(tol, maxit)
     k = inc.k
     s, mat_seconds = _discretize(arc, k, grid)
@@ -226,10 +243,11 @@ def dense_operator(name: str, arc: Arc, k: float, grid: ThetaGrid) -> np.ndarray
     resident: for ``"S"`` a new array ``S.dense()``, else the
     action on the identity, applied to stacks of about N/8 of its columns
     at a time, so that the action's temporaries (about 12 densities per
-    density for N) stay below twice the result.  Name and size are
-    checked before S is built."""
+    density for N) stay below twice the result.  Name, the types of
+    ``arc`` and ``grid``, and size are checked before S is built."""
     if name not in _OPERATORS.values():
         raise ValueError(f"unknown operator name {name!r}; expected S, N, NS or S0invS")
+    _check_types(arc=arc, grid=grid)
     if grid.n > DENSE_CAP:
         raise ValueError(f"dense assembly capped at {DENSE_CAP}, requested {grid.n}")
     s, _ = _discretize(arc, k, grid)
@@ -277,18 +295,14 @@ def _quadrature_density(sol: Solution) -> np.ndarray:
     return density if sol.formulation in TE_FORMULATIONS else density * np.sin(sol.grid.nodes) ** 2
 
 
-# Kernel entries per point chunk of near_field, and phases per direction
-# chunk of far_field: a near-field chunk's distance, kernel and Hankel
-# temporaries then take about 5 MB, a far-field chunk's phases 1.5 MB,
-# whatever N and the number of points or directions.
-NEAR_CHUNK_ENTRIES = 1 << 16
-
-
 def _row_chunks(count: int, width: int) -> list:
     """Near-equal row slices of a count x width array, of about
-    ``NEAR_CHUNK_ENTRIES`` entries each and at least two rows: a one-row
-    product takes another BLAS path and may differ in the last bit."""
-    chunks = max(1, min(count // 2, -(-count * width // NEAR_CHUNK_ENTRIES)))
+    ``specfun.CHUNK_ENTRIES`` entries each and at least two rows: a
+    one-row product takes another BLAS path and may differ in the last
+    bit.  A near-field chunk's distance, kernel and Hankel temporaries
+    then take about 1.5 MB, a far-field chunk's phases 0.4 MB, whatever
+    N and the number of points or directions."""
+    chunks = max(1, min(count // 2, -(-count * width // specfun.CHUNK_ENTRIES)))
     return [slice(count * c // chunks, count * (c + 1) // chunks) for c in range(chunks)]
 
 
@@ -363,8 +377,8 @@ def far_field(sol: Solution, m: int) -> FarField:
     its directions, and the resampled values are within 3e-14 of the
     field at the exact directions.  Either path evaluates the
     exponentials of half its directions only, in chunks of about
-    ``NEAR_CHUNK_ENTRIES`` phases (see ``_phase_sums``), so its phase
-    arrays stay near 2 MB whatever N.
+    ``specfun.CHUNK_ENTRIES`` phases (see ``_phase_sums``), so its phase
+    arrays stay near 0.4 MB whatever N.
     """
     if isinstance(m, bool):
         raise TypeError("observation count must be an integer, not bool")
@@ -540,9 +554,9 @@ def near_field(sol: Solution, points: np.ndarray,
     rule to 1e-14 of max |u| (1e-12 on strip, spiral, parabola and
     half-circle at L/lambda up to 50).
 
-    Points are evaluated in chunks of about ``NEAR_CHUNK_ENTRIES`` kernel
-    entries (128 points at N = 512), and a point's value does not depend
-    on the chunk it falls in, nor on the other points of the call.
+    Points are evaluated in chunks of about ``specfun.CHUNK_ENTRIES``
+    kernel entries (32 points at N = 512), and a point's value does not
+    depend on the chunk it falls in, nor on the other points of the call.
     """
     pts = np.asarray(points, dtype=float)
     if pts.shape != (2,) and (pts.ndim != 2 or pts.shape[1] != 2):

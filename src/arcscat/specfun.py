@@ -33,9 +33,11 @@ import numpy as np
 from scipy import special
 
 EULER_GAMMA = float(np.euler_gamma)
-# kernel entries per pool task of _a1a2_offdiag, about 5 ms of J0/Y0:
-# shorter tasks lose to thread wake-ups on a busy host
-A1A2_CHUNK = 1 << 16
+# Entries per chunk of every chunked loop of arcscat: the pool tasks of
+# _a1a2_offdiag, the floor of the S assembly's panels and the row chunks
+# of the near and far fields.  Their temporaries take about 40 bytes an
+# entry, so one chunk's fit in a 2 MiB L2.  Each loop reads it when called.
+CHUNK_ENTRIES = 1 << 14
 
 
 def _hankel(x, name, j, y):
@@ -67,10 +69,12 @@ def _a1a2_offdiag(k, dist, log_dcos, pool=None):
     """A1 (real) and A2 (complex) from precomputed distances R and
     ln|cos t - cos t'|.
 
-    With a thread pool and more than ``A1A2_CHUNK`` entries, the entries
-    are split into chunks of that size for the pool's workers; the scipy
-    ufuncs release the interpreter lock, and every entry gets the same
-    arithmetic as in the serial call, so the result is bitwise the same.
+    With a thread pool and more than ``CHUNK_ENTRIES`` entries, the
+    entries are split into chunks of that size for the pool's workers;
+    the scipy ufuncs release the interpreter lock, and every entry gets
+    the same arithmetic as in the serial call, so the result is bitwise
+    the same.  A pool gains little within about 0.2 s of a multithreaded
+    BLAS call, while OpenBLAS's idle worker busy-waits on the other core.
     """
     d, lg = dist.reshape(-1), log_dcos.reshape(-1)
     a1 = np.empty(d.shape)
@@ -83,11 +87,11 @@ def _a1a2_offdiag(k, dist, log_dcos, pool=None):
         a2.real[lo:hi] = j0 * (lg[lo:hi] / (2.0 * np.pi)) - 0.25 * y0
         a2.imag[lo:hi] = 0.25 * j0
 
-    if pool is None or d.size <= A1A2_CHUNK:
+    if pool is None or d.size <= CHUNK_ENTRIES:
         fill(0, d.size)
     else:
-        futures = [pool.submit(fill, lo, min(lo + A1A2_CHUNK, d.size))
-                   for lo in range(0, d.size, A1A2_CHUNK)]
+        futures = [pool.submit(fill, lo, min(lo + CHUNK_ENTRIES, d.size))
+                   for lo in range(0, d.size, CHUNK_ENTRIES)]
         for f in futures:
             f.result()
     return a1.reshape(dist.shape), a2.reshape(dist.shape)

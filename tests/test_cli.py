@@ -185,6 +185,24 @@ def test_spectrum_builds_s_once(tmp_path, monkeypatch):
     assert all((out / f"eigs_{name}.csv").exists() for name in ("S", "N", "NS", "S0invS"))
 
 
+@pytest.mark.parametrize("forms,names", [
+    ("S,S", ["S"]),
+    ("ATK,S0invS", ["S0invS"]),
+    ("NS,S,ATK,NS,S0invS,S", ["NS", "S", "S0invS"]),
+])
+def test_spectrum_computes_each_operator_once(tmp_path, monkeypatch, forms, names):
+    # repeats, and the two names of S0invS, are dropped in first-seen order
+    calls = []
+    real = cli.dense_operator
+    monkeypatch.setattr(cli, "dense_operator",
+                        lambda name, *args: calls.append(name) or real(name, *args))
+    out = tmp_path / "eigs"
+    assert run(["spectrum", "--arc", "strip", "--ratio", "5", "--n", "32",
+                "--form", forms, "--out", str(out)]) == 0
+    assert calls == names
+    assert sorted(p.name for p in out.glob("eigs_*.csv")) == sorted(f"eigs_{n}.csv" for n in names)
+
+
 def test_spectrum_atk_maps_to_s0invs(tmp_path):
     out = tmp_path / "eigs"
     run(["spectrum", "--arc", "strip", "--ratio", "5", "--n", "64",

@@ -59,6 +59,19 @@ def test_gmres_final_residual_near_estimate():
     assert rep.final_residual <= 10 * rep.residuals[-1]
 
 
+def test_gmres_hessenberg_grows_with_the_steps_taken(allocation_peak):
+    # 11 distinct eigenvalues: converged after 11 steps at N = 512.  The
+    # basis takes (N + 1) x N entries (4.2 MB); a zeroed (N + 1) x N
+    # Hessenberg took as much again.
+    n = 512
+    d = np.arange(n) % 11 + 1.0
+    b = np.random.default_rng(4).standard_normal(n) + 0j
+    reports = []
+    peak = allocation_peak(lambda: reports.append(gmres(lambda u: d * u, b, tol=1e-12)[1]))
+    assert reports[0].iterations == 11 and reports[0].converged
+    assert peak <= (n + 1) * n * 16 + 2 ** 20
+
+
 def test_gmres_non_convergence_reported():
     rng = np.random.default_rng(4)
     a = rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))

@@ -461,7 +461,7 @@ def test_s_build_evaluates_the_kernel_in_l2_sized_panels(monkeypatch):
     arc = make_arc("strip")
     build_S_matrix(arc, wavenumber_for_ratio(arc, 20.0), theta_grid(512))
     assert sum(sizes) == 147260
-    assert max(sizes) <= operators.PANEL_ENTRIES
+    assert max(sizes) <= specfun.CHUNK_ENTRIES
 
 
 @pytest.mark.parametrize("n", [512, 1024])
@@ -483,14 +483,14 @@ def test_s_build_panels_are_capped_at_one_stored_block(monkeypatch, n):
     k = wavenumber_for_ratio(arc, 20.0)
     g = theta_grid(n)
     s = build_S_matrix(arc, k, g)
-    assert max(sizes) <= 4096 < max(operators.PANEL_ENTRIES, n * n // 64)
+    assert max(sizes) <= 4096 < max(specfun.CHUNK_ENTRIES, n * n // 64)
     assert same_bits(s.dense(), reference_s_entries(arc, k, g))
 
 
 # ---------------------------------------------------------------------------
 # triangle assembly on a thread pool, against the serial full-matrix loop
 # ---------------------------------------------------------------------------
-# panels hold PANEL_ENTRIES entries up to N = 1024 and N^2/64 beyond it
+# panels hold CHUNK_ENTRIES entries up to N = 1024 and N^2/64 beyond it
 @pytest.mark.parametrize("kind,n", [
     *itertools.product(["strip", "halfcircle", "parabola", "spiral"], [4, 6, 250, 400, 512]),
     ("spiral", 1024), ("spiral", 2048)])
@@ -507,10 +507,11 @@ def spiral_case(n=400):
 
 
 def small_pool_tasks(monkeypatch, cores):
-    """Pretend to have ``cores`` usable cores, and split J0/Y0 into tasks
-    small enough that every panel of a few-hundred-node S uses the pool."""
+    """Pretend to have ``cores`` usable cores, and shrink the chunk budget
+    so that the N^2/64-entry panels of a few-hundred-node S span several
+    J0/Y0 tasks of the pool."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
-    monkeypatch.setattr(specfun, "A1A2_CHUNK", 1 << 12)
+    monkeypatch.setattr(specfun, "CHUNK_ENTRIES", 1 << 10)
 
 
 def recording_j0(calls):

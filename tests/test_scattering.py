@@ -498,14 +498,14 @@ def test_far_field_evaluates_exponentials_for_half_its_samples(formulation, kind
 
 @pytest.mark.parametrize("formulation", ["TE_S", "TM_NS"])
 def test_far_field_values_do_not_depend_on_its_chunks(formulation, monkeypatch):
-    # The phases of one call are made in chunks of about NEAR_CHUNK_ENTRIES;
+    # The phases of one call are made in chunks of about CHUNK_ENTRIES;
     # with one entry a chunk has two or three rows.  On the direct path
     # (m = M - 2, M - 1) and the resampled one (720, 721), every chunking
-    # gives the values of the whole phase matrix bitwise.  At the default,
-    # the odd direct m at L/lambda = 50 takes two chunks.
+    # gives the values of the whole phase matrix bitwise.  The default
+    # splits some m into several chunks.
     arc = make_arc("spiral")
     g = theta_grid(512)
-    default = scattering.NEAR_CHUNK_ENTRIES
+    default = specfun.CHUNK_ENTRIES
     rows = []
     real_exp = np.exp
 
@@ -515,9 +515,12 @@ def test_far_field_values_do_not_depend_on_its_chunks(formulation, monkeypatch):
         return real_exp(x, *args, **kwargs)
 
     def values(chunk_entries):
-        monkeypatch.setattr(scattering, "NEAR_CHUNK_ENTRIES", chunk_entries)
+        monkeypatch.setattr(specfun, "CHUNK_ENTRIES", chunk_entries)
         rows.clear()
-        return far_field(sol, m).values
+        try:
+            return far_field(sol, m).values
+        finally:
+            monkeypatch.setattr(specfun, "CHUNK_ENTRIES", default)  # for the next solve
 
     monkeypatch.setattr(np, "exp", exp)
     paths, chunk_counts = set(), set()
@@ -534,7 +537,7 @@ def test_far_field_values_do_not_depend_on_its_chunks(formulation, monkeypatch):
             assert 2 <= min(rows) and max(rows) <= 3 and len(rows) > 1
             paths.add((samples < m, m % 2))
     assert paths == {(False, 0), (False, 1), (True, 0), (True, 1)}
-    assert chunk_counts == {1, 2}
+    assert max(chunk_counts) > 1
 
 
 def test_far_field_memory_is_bounded_by_its_chunks(allocation_peak):
@@ -584,10 +587,20 @@ def map_points(count, seed=0):
 
 def test_near_field_memory_is_bounded_by_its_chunks(allocation_peak):
     # one 4096-point chunk at N = 512 takes about 134 MB of temporaries,
-    # chunks of NEAR_CHUNK_ENTRIES kernel entries about 5 MB
+    # chunks of CHUNK_ENTRIES kernel entries about 1.5 MB
     sol = strip_map_solution("TE_S")
     pts = map_points(4096)
     assert allocation_peak(lambda: near_field(sol, pts)) < 16e6
+
+
+@pytest.mark.parametrize("formulation", ["TE_S", "TM_NS"])
+def test_near_and_far_field_temporaries_fit_in_l2_sized_chunks(formulation, allocation_peak):
+    # chunks of 65536 kernel entries took 4.7 MB (near field) and 1.7 MB
+    # (far field) at N = 512
+    sol = strip_map_solution(formulation)
+    pts = map_points(4096)
+    assert allocation_peak(lambda: near_field(sol, pts)) <= 2.5e6
+    assert allocation_peak(lambda: far_field(sol, 720)) <= 1.2e6
 
 
 @pytest.mark.parametrize("formulation", ["TE_S", "TM_NS"])
@@ -600,7 +613,7 @@ def test_near_field_values_do_not_depend_on_chunking(formulation, monkeypatch):
     assert np.isnan(whole[7])
     assert np.array_equal(whole.view(float), halves.view(float), equal_nan=True)
     # the smallest chunks still hold two or three points each
-    monkeypatch.setattr(scattering, "NEAR_CHUNK_ENTRIES", 1)
+    monkeypatch.setattr(specfun, "CHUNK_ENTRIES", 1)
     smallest = near_field(sol, pts)
     assert np.array_equal(whole.view(float), smallest.view(float), equal_nan=True)
 
@@ -675,7 +688,7 @@ def n_node_rule(sol, pts):
         density = scattering.tm_layer_density(sol) * frame.tau * np.sin(grid.nodes) ** 2
         tm = True
 
-    chunks = max(1, min(len(pts) // 2, -(-len(pts) * grid.n // scattering.NEAR_CHUNK_ENTRIES)))
+    chunks = max(1, min(len(pts) // 2, -(-len(pts) * grid.n // specfun.CHUNK_ENTRIES)))
     out = np.empty(len(pts), dtype=complex)
     for c in range(chunks):
         rows = slice(len(pts) * c // chunks, len(pts) * (c + 1) // chunks)
@@ -930,7 +943,7 @@ def test_traced_operator_attributes_run_on_the_main_thread(monkeypatch):
     # runs the solve, never from a pool worker of the S assembly.  Two
     # cores and small J0/Y0 tasks make the N = 400 assembly use the pool.
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    monkeypatch.setattr(specfun, "A1A2_CHUNK", 1 << 12)
+    monkeypatch.setattr(specfun, "CHUNK_ENTRIES", 1 << 10)
     calls = {}
     for name in TRACED_OPERATOR_ATTRIBUTES:
         def guard(*args, _orig=getattr(operators, name), _name=name, **kwargs):
@@ -974,6 +987,25 @@ def builds(monkeypatch):
 def test_solve_checks_tol_and_maxit_before_building_s(builds, kwargs, error):
     with pytest.raises(error, match=next(iter(kwargs))):
         solve("TE_S", make_arc("strip"), Incidence(60.0, 3.0), theta_grid(32), **kwargs)
+    assert builds == []
+
+
+@pytest.mark.parametrize("argument", ["arc", "inc", "grid"])
+def test_solve_rejects_a_wrongly_typed_problem_by_name(builds, argument):
+    problem = dict(arc=make_arc("strip"), inc=Incidence(60.0, 3.0), grid=theta_grid(32))
+    problem[argument] = {"arc": "strip", "inc": 60.0, "grid": 32}[argument]
+    with pytest.raises(TypeError, match=f"^{argument} must be") as error:
+        solve("TE_S", **problem)
+    assert builds == []
+    assert argument != "grid" or "theta_grid(n)" in str(error.value)
+
+
+@pytest.mark.parametrize("argument", ["arc", "grid"])
+def test_dense_operator_rejects_a_wrongly_typed_problem_by_name(builds, argument):
+    problem = dict(arc=make_arc("strip"), k=3.0, grid=theta_grid(32))
+    problem[argument] = {"arc": "strip", "grid": 32}[argument]
+    with pytest.raises(TypeError, match=f"^{argument} must be"):
+        dense_operator("S", **problem)
     assert builds == []
 
 
