@@ -171,7 +171,7 @@ def cmd_spectrum(args) -> int:
     for part in args.form.split(","):
         if part not in _SPECTRUM_NAMES:
             raise SystemExit(f"error: unknown operator {part!r}; expected S, N, NS or ATK")
-        if _SPECTRUM_NAMES[part] not in names:  # ATK and S0invS name one operator
+        if _SPECTRUM_NAMES[part] not in names:  # a repeat, or ATK beside S0invS
             names.append(_SPECTRUM_NAMES[part])
     out = _outdir(args)
     for name in names:
