@@ -57,9 +57,11 @@ from .specfun import _a1a2_offdiag, _a2_diagonal
 
 # An upper-triangle row panel of the S assembly holds about
 # min(max(specfun.CHUNK_ENTRIES, N^2 / 64), ROW_BLOCK_BYTES / 16) kernel
-# entries.  Up to N = 1024 a panel is one L2-sized chunk, and its diagonal
-# square, evaluated whole, stays small.  Each panel ends in a wait for the
-# J0/Y0 pool, which costs milliseconds on a busy host, so panels grow like
+# entries and lies inside one stored block, where it is written in place:
+# a panel ends at its block's last row, so some hold fewer.  Up to
+# N = 1024 a panel is one L2-sized chunk, and its diagonal square,
+# evaluated whole, stays small.  Each panel ends in a wait for the J0/Y0
+# pool, which costs milliseconds on a busy host, so panels grow like
 # N^2 / 64 up to N = 2896; beyond that they hold the entries of one stored
 # block, so their temporaries stay bounded whatever N.
 # bytes of K per stored row block, the unit of the blocked S products
@@ -173,31 +175,28 @@ def build_log_quad(grid: ThetaGrid) -> np.ndarray:
     return -np.real(scipy.fft.fft(c))
 
 
-def _kernel_panel(k, x, px, py, r, a2_diag, lo: int, hi: int, pool) -> np.ndarray:
-    """Unweighted kernel A1 R + A2 of S on the upper-triangle row panel
-    rows lo..hi-1, columns lo..N-1, with the coincidence limits on its
-    diagonal."""
+def _kernel_panel(k, x, px, py, r, a2_diag, lo: int, hi: int, out, pool) -> None:
+    """Write the unweighted kernel A1 R + A2 of S on the upper-triangle
+    row panel rows lo..hi-1, columns lo..N-1, with the coincidence limits
+    on its diagonal, into ``out``, a view of that shape."""
     rows, cols = slice(lo, hi), slice(lo, None)
-    dx = px[rows, None] - px[None, cols]
-    dist = dx * dx
-    dx = py[rows, None] - py[None, cols]
-    dist += dx * dx
+    dist = np.square(px[rows, None] - px[None, cols])
+    dist += np.square(py[rows, None] - py[None, cols])
     np.sqrt(dist, out=dist)
     dcos = np.abs(x[rows, None] - x[None, cols])
     diag = (np.arange(hi - lo),) * 2
     dist[diag] = 1.0
     dcos[diag] = 1.0
     np.log(dcos, out=dcos)
-    a1, kernel = _a1a2_offdiag(k, dist, dcos, pool)
+    a1 = _a1a2_offdiag(k, dist, dcos, out, pool)
     a1[diag] = -1.0 / (2.0 * np.pi)
-    kernel[diag] = a2_diag
+    out[diag] = a2_diag
     # R_j(theta_n) = r(|n - j|) + r(n + j + 1): Toeplitz and Hankel views of r
     h, m = hi - lo, len(x) - lo
     rmat = (sliding_window_view(np.concatenate((r[h - 1 : 0 : -1], r[:m])), m)[::-1]
             + sliding_window_view(r[2 * lo + 1 : hi + len(x)], m))
     np.multiply(a1, rmat, out=rmat)
-    kernel.real += rmat
-    return kernel
+    out.real += rmat
 
 
 def build_S_matrix(arc: Arc, k: float, grid: ThetaGrid) -> OperatorMatrix:
@@ -208,24 +207,26 @@ def build_S_matrix(arc: Arc, k: float, grid: ThetaGrid) -> OperatorMatrix:
     single-layer integral.  S = K diag(w) with w_j = (pi/N) tau_j, and
     the kernel K is symmetric to the last bit, because R, the distances
     and the cosine gaps are.  So K is evaluated on the upper triangle
-    only, in row panels of max(``specfun.CHUNK_ENTRIES``, N^2/64)
-    entries, but never more than one stored block holds
-    (``ROW_BLOCK_BYTES`` / 16, so the panels' temporaries are bounded
-    whatever N), and stored once, unweighted, in the row blocks of
-    ``OperatorMatrix`` (sized by ``ROW_BLOCK_BYTES`` for the products,
-    not by the panels):
-    each panel is copied into the blocks its rows fall in, and the part
-    of a block's diagonal square left of the panel is filled by a
-    transpose copy of the block's earlier rows.  J0/Y0, most of the cost,
-    run in chunks of ``specfun.CHUNK_ENTRIES`` entries on a thread pool
-    sized to the usable cores (no pool with one core) that lives for
-    this call; a panel of one chunk or less (every panel for N <= 1024)
-    stays on the calling thread.  Every other step, and every call into
-    another arcscat module, stays on the calling thread.  ``dense()``
-    is bitwise the same as a serial full-matrix build.  The log-rule
-    vector comes from one FFT, for an overall O(N^2 log N) build.  The
-    arc is evaluated once, by ``n_frame``, and S keeps that frame; every
-    array of the returned S and its frame is read-only.
+    only and stored once, unweighted, in the row blocks of
+    ``OperatorMatrix`` (sized by ``ROW_BLOCK_BYTES`` for the products).
+    The build walks those blocks and assembles each in place, in row
+    panels of max(``specfun.CHUNK_ENTRIES``, N^2/64) entries, but never
+    more than one stored block holds (``ROW_BLOCK_BYTES`` / 16, so the
+    panels' temporaries are bounded whatever N); a panel ends at its
+    block's last row.  Each panel's A1 R + A2 is written straight into
+    its rows of the block, and the part of the block's diagonal square
+    left of the panel is filled by a transpose copy of the block's
+    earlier rows; no panel is held apart from S.  J0/Y0, most of the
+    cost, fill A2 in row chunks of about ``specfun.CHUNK_ENTRIES``
+    entries on a thread pool sized to the usable cores (no pool with
+    one core) that lives for this call; a panel of one chunk (every
+    panel for N <= 1024) stays on the calling thread.  Every other step,
+    and every call into another arcscat module, stays on the calling
+    thread.  ``dense()`` is bitwise the same as a serial full-matrix
+    build.  The log-rule vector comes from one FFT, for an overall
+    O(N^2 log N) build.  The arc is evaluated once, by ``n_frame``, and S
+    keeps that frame; every array of the returned S and its frame is
+    read-only.
     """
     if not np.isfinite(k):
         raise ValueError("build_S_matrix requires a finite wavenumber")
@@ -243,21 +244,19 @@ def build_S_matrix(arc: Arc, k: float, grid: ThetaGrid) -> OperatorMatrix:
     size = sum((r1 - r0) * (n - r0) for r0, r1 in zip(rows, rows[1:]))
     s = OperatorMatrix(n=n, k=k, arc=arc, entries=np.empty(size, dtype=complex),
                        weight=(np.pi / n) * frame.tau, rows=rows, frame=frame)
-    blocks = s.blocks()
     # usable cores; platforms without affinity masks report every core
     workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                else os.cpu_count() or 1)
     with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
-        panel, lo = min(max(specfun.CHUNK_ENTRIES, n * n // 64), ROW_BLOCK_BYTES // 16), 0
-        while lo < n:
-            hi = min(n, lo + max(1, panel // (n - lo)))
-            kernel = _kernel_panel(k, x, px, py, r, a2_diag[lo:hi], lo, hi, pool)
-            for r0, r1, block in blocks:
-                a, b = max(r0, lo), min(r1, hi)
-                if a < b:
-                    block[a - r0 : b - r0, a - r0 :] = kernel[a - lo : b - lo, a - lo :]
-                    block[a - r0 : b - r0, : a - r0] = block[: a - r0, a - r0 : b - r0].T
-            lo = hi
+        panel = min(max(specfun.CHUNK_ENTRIES, n * n // 64), ROW_BLOCK_BYTES // 16)
+        for r0, r1, block in s.blocks():
+            lo = r0
+            while lo < r1:
+                hi = min(r1, lo + max(1, panel // (n - lo)))
+                _kernel_panel(k, x, px, py, r, a2_diag[lo:hi], lo, hi,
+                              block[lo - r0 : hi - r0, lo - r0 :], pool)
+                block[lo - r0 : hi - r0, : lo - r0] = block[: lo - r0, lo - r0 : hi - r0].T
+                lo = hi
     for values in (s.entries, s.weight, *vars(frame).values()):
         values.flags.writeable = False
     return s

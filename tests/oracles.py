@@ -151,7 +151,8 @@ def kernel_split(k: float, arc: Arc, theta, theta_p):
     dist = np.hypot(p[..., 0] - pp[..., 0], p[..., 1] - pp[..., 1])
     with np.errstate(divide="ignore"):
         log_dcos = np.log(np.abs(x - xp))
-    a1, a2 = _a1a2_offdiag(k, np.where(diag, 1.0, dist), np.where(diag, 0.0, log_dcos))
+    a2 = np.empty(np.shape(dist), dtype=complex)
+    a1 = _a1a2_offdiag(k, np.where(diag, 1.0, dist), np.where(diag, 0.0, log_dcos), a2)
 
     if np.any(diag):
         a1 = np.where(diag, -1.0 / (2.0 * np.pi), a1)

@@ -148,6 +148,18 @@ def test_residual_above_tol_warns(tmp_path, monkeypatch, capsys):
     assert "warning: true residual 1.000e-03 exceeds 10 x tol" in capsys.readouterr().err
 
 
+def test_grid_below_the_kernel_bandwidth_warns(tmp_path, capsys):
+    # N = 64 aliases the spiral's kernel at k = 200 (B = 2k max tau sin
+    # theta = 2975): GMRES converges, to a far field 92 % off
+    assert run(["solve", "--arc", "spiral", "--k", "200", "--n", "64", "--pol", "TM",
+                "--form", "N", "--obs", "8", "--out", str(tmp_path)]) == 0
+    captured = capsys.readouterr()
+    assert "iterations=64" in captured.out
+    assert "warning: N = 64 is below the kernel bandwidth" in captured.err
+    assert "B = 2 k max(tau sin theta) = 2975" in captured.err
+    assert "README" in captured.err
+
+
 def test_bad_formulation_combo_rejected(tmp_path):
     with pytest.raises(SystemExit):
         run(["solve", "--arc", "strip", "--ratio", "10", "--n", "128",

@@ -449,42 +449,64 @@ def test_packed_s_keeps_little_more_than_half_the_full_matrix():
 def test_s_build_evaluates_the_kernel_in_l2_sized_panels(monkeypatch):
     # the stored blocks are sized for the products, the panels for the
     # J0/Y0 temporaries: their evaluations stay those of the 16384-entry
-    # panels, diagonal squares included
+    # panels, diagonal squares included, with a panel cut short at the
+    # block boundary at row 256
     sizes = []
     real = operators._a1a2_offdiag
 
-    def counting(k, dist, dcos, pool):
+    def counting(k, dist, dcos, out, pool):
         sizes.append(dist.size)
-        return real(k, dist, dcos, pool)
+        return real(k, dist, dcos, out, pool)
 
     monkeypatch.setattr(operators, "_a1a2_offdiag", counting)
     arc = make_arc("strip")
     build_S_matrix(arc, wavenumber_for_ratio(arc, 20.0), theta_grid(512))
-    assert sum(sizes) == 147260
+    assert sum(sizes) == 147394
     assert max(sizes) <= specfun.CHUNK_ENTRIES
 
 
-@pytest.mark.parametrize("n", [512, 1024])
-def test_s_build_panels_are_capped_at_one_stored_block(monkeypatch, n):
+@pytest.mark.parametrize("n,block_bytes", [
+    pytest.param(512, 64 << 10, id="512"), pytest.param(1024, 64 << 10, id="1024"),
+    pytest.param(512, 40 << 10, id="512-40KiB")])
+def test_s_build_panels_are_capped_at_one_stored_block(monkeypatch, n, block_bytes):
     # Panels hold at most the ROW_BLOCK_BYTES / 16 entries of one stored
-    # block.  At the default that cap binds only above N = 2896; with
-    # 64 KiB blocks it binds here (4096 entries against 16384 and N^2/64),
-    # and the capped panels still give S bitwise.
-    monkeypatch.setattr(operators, "ROW_BLOCK_BYTES", 64 << 10)
-    sizes = []
+    # block and lie inside it, since each is written in place in its
+    # block.  At the default the cap binds only above N = 2896; with
+    # 40-64 KiB blocks it binds here (2560-4096 entries against 16384
+    # and N^2/64), and panels of that cap that ignored the block bounds
+    # would straddle them.  The in-place panels still give S bitwise.
+    monkeypatch.setattr(operators, "ROW_BLOCK_BYTES", block_bytes)
+    spans = []
     real = operators._a1a2_offdiag
 
-    def counting(k, dist, dcos, pool):
-        sizes.append(dist.size)
-        return real(k, dist, dcos, pool)
+    def recording(k, dist, dcos, out, pool):
+        h, m = dist.shape
+        spans.append((n - m, n - m + h))
+        return real(k, dist, dcos, out, pool)
 
-    monkeypatch.setattr(operators, "_a1a2_offdiag", counting)
+    monkeypatch.setattr(operators, "_a1a2_offdiag", recording)
     arc = make_arc("spiral")
     k = wavenumber_for_ratio(arc, 20.0)
     g = theta_grid(n)
     s = build_S_matrix(arc, k, g)
-    assert max(sizes) <= 4096 < max(specfun.CHUNK_ENTRIES, n * n // 64)
+    assert max((hi - lo) * (n - lo) for lo, hi in spans) <= block_bytes // 16
+    assert block_bytes // 16 < max(specfun.CHUNK_ENTRIES, n * n // 64)
+    assert [lo for lo, _ in spans] == [0] + [hi for _, hi in spans[:-1]] and spans[-1][1] == n
+    for lo, hi in spans:
+        assert any(r0 <= lo < hi <= r1 for r0, r1 in zip(s.rows, s.rows[1:]))
     assert same_bits(s.dense(), reference_s_entries(arc, k, g))
+
+
+def test_s_build_holds_little_beyond_s(allocation_peak):
+    # each panel is written in place in its stored block, so the build
+    # holds S, one panel's distances, log gaps, A1 and R, and one pool
+    # chunk per worker, not a complex copy of every panel as well
+    n = 2048
+    arc = make_arc("spiral")
+    k = wavenumber_for_ratio(arc, 800.0 * n / 6400)
+    built = []
+    peak = allocation_peak(lambda: built.append(build_S_matrix(arc, k, theta_grid(n))))
+    assert peak - built[0].entries.nbytes <= 4 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------
