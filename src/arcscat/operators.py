@@ -23,8 +23,9 @@ There are three groups.
   is produced by a single FFT, so the N x N matrix assembles in
   O(N^2 log N).  S = K diag(w) with a kernel K that is symmetric to the
   last bit, so K is evaluated on the upper triangle only and stored
-  once, as packed upper row blocks; above N = 2048 its J0/Y0 evaluation
-  runs on a thread pool sized to the usable cores.
+  once, as packed upper row blocks; the J0/Y0 evaluation of a panel of
+  more than one chunk (every panel for N > 1024) runs on a thread pool
+  sized to the usable cores.
 
 * The hypersingular action N v = Ng v + (1/tau) D0 S T0_tau v
   (``n_apply``), applied as dense matvecs interleaved with fast
@@ -55,15 +56,6 @@ from .geometry import Arc, eval_arc
 from .grids import ThetaGrid, coeffs_from_values, d0_values, t0_values, values_from_coeffs
 from .specfun import _a1a2_offdiag, _a2_diagonal
 
-# An upper-triangle row panel of the S assembly holds about
-# min(max(specfun.CHUNK_ENTRIES, N^2 / 64), ROW_BLOCK_BYTES / 16) kernel
-# entries and lies inside one stored block, where it is written in place:
-# a panel ends at its block's last row, so some hold fewer.  Up to
-# N = 1024 a panel is one L2-sized chunk, and its diagonal square,
-# evaluated whole, stays small.  Each panel ends in a wait for the J0/Y0
-# pool, which costs milliseconds on a busy host, so panels grow like
-# N^2 / 64 up to N = 2896; beyond that they hold the entries of one stored
-# block, so their temporaries stay bounded whatever N.
 # bytes of K per stored row block, the unit of the blocked S products
 ROW_BLOCK_BYTES = 2 << 20
 
@@ -210,10 +202,13 @@ def build_S_matrix(arc: Arc, k: float, grid: ThetaGrid) -> OperatorMatrix:
     only and stored once, unweighted, in the row blocks of
     ``OperatorMatrix`` (sized by ``ROW_BLOCK_BYTES`` for the products).
     The build walks those blocks and assembles each in place, in row
-    panels of max(``specfun.CHUNK_ENTRIES``, N^2/64) entries, but never
-    more than one stored block holds (``ROW_BLOCK_BYTES`` / 16, so the
-    panels' temporaries are bounded whatever N); a panel ends at its
-    block's last row.  Each panel's A1 R + A2 is written straight into
+    panels of max(``specfun.CHUNK_ENTRIES``, N^2/64) entries that end at
+    their block's last row.  Up to N = 1024 a panel is one L2-sized
+    chunk, and its diagonal square, evaluated whole, stays small.  Each
+    panel ends in a wait for the J0/Y0 pool, which costs milliseconds on
+    a busy host, so panels grow like N^2/64; above N ~ 2900 that exceeds
+    a stored block, and each block is one panel, so the temporaries stay
+    bounded whatever N.  Each panel's A1 R + A2 is written straight into
     its rows of the block, and the part of the block's diagonal square
     left of the panel is filled by a transpose copy of the block's
     earlier rows; no panel is held apart from S.  J0/Y0, most of the
@@ -248,7 +243,7 @@ def build_S_matrix(arc: Arc, k: float, grid: ThetaGrid) -> OperatorMatrix:
     workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                else os.cpu_count() or 1)
     with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
-        panel = min(max(specfun.CHUNK_ENTRIES, n * n // 64), ROW_BLOCK_BYTES // 16)
+        panel = max(specfun.CHUNK_ENTRIES, n * n // 64)
         for r0, r1, block in s.blocks():
             lo = r0
             while lo < r1:

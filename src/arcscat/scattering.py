@@ -132,17 +132,20 @@ class Solution:
     mat_seconds: float = 0.0
 
 
+def incident_field(inc: Incidence, points: np.ndarray) -> np.ndarray:
+    """u_inc = exp(i k d . r) at the given points."""
+    pts = np.asarray(points, dtype=float)
+    return np.exp(1j * inc.k * (pts @ inc.direction))
+
+
 def te_data(points: np.ndarray, inc: Incidence) -> np.ndarray:
     """Dirichlet data f = -u_inc at the given points (the frame's nodes)."""
-    phase = points @ inc.direction
-    return -np.exp(1j * inc.k * phase)
+    return -incident_field(inc, points)
 
 
 def tm_data(points: np.ndarray, normals: np.ndarray, inc: Incidence) -> np.ndarray:
     """Neumann data g = -du_inc/dn at the given points and unit normals."""
-    phase = points @ inc.direction
-    dn = normals @ inc.direction
-    return -1j * inc.k * dn * np.exp(1j * inc.k * phase)
+    return -1j * inc.k * (normals @ inc.direction) * incident_field(inc, points)
 
 
 # One-slot memo (builder, S): the S of the last discretization solved on
@@ -425,10 +428,6 @@ def _max_spacing(points: np.ndarray) -> float:
 # Cosine modes of the near-field density below this share of its peak are
 # dropped when the density is resampled to fewer nodes.
 DENSITY_CUTOFF = 1e-14
-# ln(1 / DENSITY_CUTOFF), rounded down: the cosine coefficients of an
-# integrand analytic in a strip of half-width a decay like exp(-a m), so
-# they fall below the cutoff beyond mode CUTOFF_EFOLDS / a.
-CUTOFF_EFOLDS = 32.0
 # Arc nodes the distance bound of near_field measures against.
 COARSE_NODES = 64
 
@@ -507,8 +506,11 @@ def _node_counts(pts: np.ndarray, frame: NFrame, grid: ThetaGrid, k: float,
         return counts
     d = _distance_bound(pts, frame.points, rho)
     far = d >= mask_distance  # so d >= 0
+    # the cosine coefficients of an integrand analytic in a strip of
+    # half-width a decay like exp(-a m), so they fall below the cutoff
+    # beyond mode floor(ln(1 / DENSITY_CUTOFF)) / a
     with np.errstate(divide="ignore"):
-        b_kernel = b_far + CUTOFF_EFOLDS * rho / d[far]
+        b_kernel = b_far + math.floor(-math.log(DENSITY_CUTOFF)) * rho / d[far]
     steps = np.searchsorted(ladder, 0.5 * (b_kernel + b_sigma))
     counts[far] = ladder[np.minimum(steps, len(ladder) - 1)]
     return counts
@@ -533,9 +535,9 @@ def near_field(sol: Solution, points: np.ndarray,
     * the kernel's at distance d from the arc, B_K(d) = k rho +
       2 (k rho)^(1/3) + 8 + 32 rho / d with rho = max tau sin theta: the
       integrand is analytic in a strip of half-width about d / rho in
-      theta, and 32 (``CUTOFF_EFOLDS``) is ln(1e14).  d is a lower bound
-      on the distance: the distance to ``COARSE_NODES`` evenly picked
-      nodes, less the arc length between them.
+      theta, and 32 is ln(1 / ``DENSITY_CUTOFF``) rounded down.  d is a
+      lower bound on the distance: the distance to ``COARSE_NODES``
+      evenly picked nodes, less the arc length between them.
 
     M is the smallest size of a ladder, N and the admissible sizes at
     half-octave steps below it, that is at least (B_K + B_sigma) / 2:
@@ -587,9 +589,3 @@ def near_field(sol: Solution, points: np.ndarray,
         out[rows] = _layer_sums(pts[rows], nodes_xy, normals, values, k,
                                 np.pi / m, mask_distance, tm)
     return out[0] if lone else out
-
-
-def incident_field(inc: Incidence, points: np.ndarray) -> np.ndarray:
-    """u_inc = exp(i k d . r) at the given points."""
-    pts = np.asarray(points, dtype=float)
-    return np.exp(1j * inc.k * (pts @ inc.direction))
