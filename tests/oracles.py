@@ -11,7 +11,9 @@ None of these is called by the library, the CLI or the benchmark:
 * the dense log-rule table R_j(theta_n) and the column-by-column
   materialization of a linear action;
 * the pointwise split of the Helmholtz kernel into its log-singular and
-  smooth factors, and the arc speed it needs.
+  smooth factors, and the arc speed it needs;
+* helpers several test modules share: complex node vectors, bitwise
+  comparison and adaptive quadrature of a complex integrand.
 
 Test modules import them as ``from oracles import ...``.
 """
@@ -19,6 +21,7 @@ Test modules import them as ``from oracles import ...``.
 from __future__ import annotations
 
 import numpy as np
+from scipy.integrate import quad
 
 from arcscat.geometry import Arc, eval_arc
 from arcscat.grids import (
@@ -160,3 +163,27 @@ def kernel_split(k: float, arc: Arc, theta, theta_p):
     if np.ndim(a1) == 0:
         return complex(a1), complex(a2)
     return a1.astype(complex), a2
+
+
+# ---------------------------------------------------------------------------
+# Shared test helpers
+# ---------------------------------------------------------------------------
+def dv(values):
+    """Node values as a complex array."""
+    return np.asarray(values, dtype=complex)
+
+
+def same_bits(a, b) -> bool:
+    """Whether two arrays (or sequences) have the same shape and bits."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.float64), b.view(np.float64))
+
+
+def quad_complex(f, singular_point):
+    """Adaptive quadrature of a complex f over [0, pi], split at the
+    integrand's singular point."""
+    re = quad(lambda t: f(t).real, 0.0, np.pi, points=[singular_point],
+              limit=400, epsabs=1e-13)[0]
+    im = quad(lambda t: f(t).imag, 0.0, np.pi, points=[singular_point],
+              limit=400, epsabs=1e-13)[0]
+    return re + 1j * im

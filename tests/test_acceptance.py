@@ -11,7 +11,6 @@ import time
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 from arcscat.geometry import eval_arc, make_arc, wavenumber_for_ratio
 from arcscat.grids import (
@@ -36,6 +35,7 @@ from oracles import (
     kernel_split,
     log_quad_matrix,
     n0_apply_values,
+    quad_complex,
     s0_apply_values,
     speed,
 )
@@ -170,14 +170,6 @@ def test_criterion_04_log_quadrature_exactness():
                          f"analytic log integrals {worst_rule:.2e}")
 
 
-def _quad_complex(f, singular_point):
-    re = quad(lambda t: f(t).real, 0.0, np.pi, points=[singular_point],
-              limit=400, epsabs=1e-13)[0]
-    im = quad(lambda t: f(t).imag, 0.0, np.pi, points=[singular_point],
-              limit=400, epsabs=1e-13)[0]
-    return re + 1j * im
-
-
 def test_criterion_05_matrix_oracle_equivalence():
     start = time.perf_counter()
     k = np.pi
@@ -198,9 +190,9 @@ def test_criterion_05_matrix_oracle_equivalence():
                 a1, a2 = kernel_split(k, arc, th_n, tp)
                 return a1 * math.log(abs(math.cos(th_n) - math.cos(tp))) + a2
 
-            s_exact = _quad_complex(lambda tp: green(tp) * dens(tp)
+            s_exact = quad_complex(lambda tp: green(tp) * dens(tp)
                                     * speed(arc, math.cos(tp)), th_n)
-            ng_exact = _quad_complex(
+            ng_exact = quad_complex(
                 lambda tp: (k * k * green(tp) * dens(tp) * speed(arc, math.cos(tp))
                             * math.sin(tp) ** 2
                             * float(nrm_n @ eval_arc(arc, math.cos(tp))[2])), th_n)

@@ -19,11 +19,7 @@ from arcscat.grids import (
     values_from_coeffs,
 )
 from arcscat.operators import n_frame
-from oracles import speed
-
-
-def dv(values):
-    return np.asarray(values, dtype=complex)
+from oracles import dv, speed
 
 
 def t0_tau_values(arc, grid, values):

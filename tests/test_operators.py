@@ -51,26 +51,21 @@ import oracles
 from oracles import (
     assemble_dense,
     c_apply_values,
+    dv,
     j0_apply_values,
     kernel_split,
     log_quad_matrix,
     n0_apply_values,
+    quad_complex,
     s0_apply_values,
+    same_bits,
     speed,
 )
-
-
-def dv(values):
-    return np.asarray(values, dtype=complex)
 
 
 def rand_dv(grid, seed=0):
     rng = np.random.default_rng(seed)
     return dv(rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n))
-
-
-def same_bits(a, b):
-    return a.shape == b.shape and np.array_equal(a.view(np.float64), b.view(np.float64))
 
 
 def reference_s_entries(arc, k, grid):
@@ -300,12 +295,6 @@ def test_log_rule_integrates_log_kernel():
 # ---------------------------------------------------------------------------
 # Nystrom matrices
 # ---------------------------------------------------------------------------
-def quad_complex(f, theta_n):
-    re = quad(lambda t: f(t).real, 0, np.pi, points=[theta_n], limit=400, epsabs=1e-13)[0]
-    im = quad(lambda t: f(t).imag, 0, np.pi, points=[theta_n], limit=400, epsabs=1e-13)[0]
-    return re + 1j * im
-
-
 def single_layer_oracle(arc, k, theta_n, dens):
     def f(tp):
         a1, a2 = kernel_split(k, arc, theta_n, tp)
@@ -469,12 +458,13 @@ def test_s_build_evaluates_the_kernel_in_l2_sized_panels(monkeypatch):
     pytest.param(512, 64 << 10, id="512"), pytest.param(1024, 64 << 10, id="1024"),
     pytest.param(512, 40 << 10, id="512-40KiB")])
 def test_s_build_panels_are_capped_at_one_stored_block(monkeypatch, n, block_bytes):
-    # Panels hold at most the ROW_BLOCK_BYTES / 16 entries of one stored
-    # block and lie inside it, since each is written in place in its
-    # block.  At the default the cap binds only above N = 2896; with
-    # 40-64 KiB blocks it binds here (2560-4096 entries against 16384
-    # and N^2/64), and panels of that cap that ignored the block bounds
-    # would straddle them.  The in-place panels still give S bitwise.
+    # A panel ends at its stored block's last row, since it is written in
+    # place in its block, so it holds at most one block's entries: the
+    # ROW_BLOCK_BYTES / 16 a block reaches and less than one more row.
+    # With 40-64 KiB blocks the panel budget max(CHUNK_ENTRIES, N^2/64)
+    # exceeds every block, as at the default above N ~ 2900, and each
+    # block is then exactly one panel.  The in-place panels still give S
+    # bitwise.
     monkeypatch.setattr(operators, "ROW_BLOCK_BYTES", block_bytes)
     spans = []
     real = operators._a1a2_offdiag
@@ -489,11 +479,9 @@ def test_s_build_panels_are_capped_at_one_stored_block(monkeypatch, n, block_byt
     k = wavenumber_for_ratio(arc, 20.0)
     g = theta_grid(n)
     s = build_S_matrix(arc, k, g)
-    assert max((hi - lo) * (n - lo) for lo, hi in spans) <= block_bytes // 16
-    assert block_bytes // 16 < max(specfun.CHUNK_ENTRIES, n * n // 64)
-    assert [lo for lo, _ in spans] == [0] + [hi for _, hi in spans[:-1]] and spans[-1][1] == n
-    for lo, hi in spans:
-        assert any(r0 <= lo < hi <= r1 for r0, r1 in zip(s.rows, s.rows[1:]))
+    assert block_bytes // 16 + n <= max(specfun.CHUNK_ENTRIES, n * n // 64)
+    assert spans == list(zip(s.rows, s.rows[1:]))
+    assert max((hi - lo) * (n - lo) for lo, hi in spans) < block_bytes // 16 + n
     assert same_bits(s.dense(), reference_s_entries(arc, k, g))
 
 

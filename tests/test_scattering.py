@@ -43,7 +43,7 @@ from arcscat.scattering import (
     te_layer_density,
     tm_data,
 )
-from oracles import speed
+from oracles import same_bits, speed
 
 
 def make_solution(formulation, grid, values, arc=None, k=1.0):
@@ -1007,10 +1007,6 @@ def test_dense_operator_rejects_a_wrongly_typed_problem_by_name(builds, argument
     with pytest.raises(TypeError, match=f"^{argument} must be"):
         dense_operator("S", **problem)
     assert builds == []
-
-
-def same_bits(a, b):
-    return np.array_equal(np.asarray(a).view(float), np.asarray(b).view(float))
 
 
 def test_second_solve_reuses_s(builds):
