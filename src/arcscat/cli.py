@@ -120,8 +120,7 @@ def _run_solve(formulation, arc, inc, grid, args):
     if sol.report.final_residual > 10 * args.tol:
         print(f"warning: true residual {sol.report.final_residual:.3e} exceeds 10 x tol",
               file=sys.stderr)
-    # bandwidth of kernel x density, which the product rule interpolates
-    bandwidth = 2.0 * sol.k * float(np.max(sol.frame.tau * np.sin(sol.grid.nodes)))
+    bandwidth = sol.kernel_bandwidth
     if sol.grid.n < bandwidth:
         print(f"warning: N = {sol.grid.n} is below the kernel bandwidth "
               f"B = 2 k max(tau sin theta) = {bandwidth:.0f}; the product rule aliases "

@@ -131,6 +131,19 @@ class Solution:
     frame: NFrame = field(repr=False)
     mat_seconds: float = 0.0
 
+    @property
+    def kernel_bandwidth(self) -> float:
+        """B = 2 k max(tau sin theta) over the nodes, the bandwidth of the
+        kernel times the density that the product rule interpolates: on a
+        grid of N < B nodes it aliases, and the fields may be wrong (see
+        the README's note on aliasing)."""
+        return 2.0 * self.k * _theta_speed(self.frame, self.grid)
+
+
+def _theta_speed(frame: NFrame, grid: ThetaGrid) -> float:
+    """rho = max |dr/dtheta| = max tau sin theta over the nodes."""
+    return float(np.max(frame.tau * np.sin(grid.nodes)))
+
 
 def incident_field(inc: Incidence, points: np.ndarray) -> np.ndarray:
     """u_inc = exp(i k d . r) at the given points."""
@@ -497,7 +510,7 @@ def _node_counts(pts: np.ndarray, frame: NFrame, grid: ThetaGrid, k: float,
     mags = np.abs(coeffs)
     above = np.flatnonzero(mags > DENSITY_CUTOFF * mags.max())
     b_sigma = above[-1] + 1.0 if above.size else 1.0
-    rho = float(np.max(frame.tau * np.sin(grid.nodes)))
+    rho = _theta_speed(frame, grid)
     b_far = k * rho + 2.0 * np.cbrt(k * rho) + 8.0
 
     counts = np.full(len(pts), n)

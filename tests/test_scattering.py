@@ -220,6 +220,20 @@ def test_strip_tm_ns_iteration_count():
     assert abs(sol.report.iterations - 9) <= 3
 
 
+def test_solution_reports_the_kernel_bandwidth():
+    # B = 2k max(tau sin theta): N = 64 aliases the spiral's kernel at
+    # k = 200 (GMRES converges, to a far field 92 % off), while N = 512
+    # resolves the spiral at L/lambda = 50
+    arc = make_arc("spiral")
+    under = solve("TM_N", arc, Incidence(90.0, 200.0), theta_grid(64))
+    assert under.grid.n < under.kernel_bandwidth and round(under.kernel_bandwidth) == 2975
+    with pytest.raises(AttributeError):
+        under.kernel_bandwidth = 0.0
+    k = wavenumber_for_ratio(arc, 50.0)
+    resolved = solve("TM_NS", arc, Incidence(90.0, k), theta_grid(512))
+    assert resolved.kernel_bandwidth < resolved.grid.n
+
+
 def test_unknown_formulation_rejected():
     with pytest.raises(ValueError):
         solve("TE_X", make_arc("strip"), Incidence(0.0, 1.0), theta_grid(16))
