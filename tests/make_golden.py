@@ -53,9 +53,9 @@ def environment() -> dict:
             "env.simd": simd[-1] if simd else "baseline"}
 
 
-def _points(res=(12, 6), rect=(-2.0, -1.5, 2.0, 1.5)) -> np.ndarray:
-    x0, y0, x1, y1 = rect
-    gx, gy = np.meshgrid(np.linspace(x0, x1, res[0]), np.linspace(y1, y0, res[1]))
+def _near_points() -> np.ndarray:
+    """A 12 x 6 map over the field-map benchmark's rectangle."""
+    gx, gy = np.meshgrid(np.linspace(-2.0, 2.0, 12), np.linspace(1.5, -1.5, 6))
     return np.column_stack([gx.ravel(), gy.ravel()])
 
 
@@ -71,7 +71,7 @@ def _case(out: dict, kind: str, ratio: float, n: int, formulations, near=False) 
         out[f"{key}.far_field"] = far_field(sol, FAR_SAMPLES).values
         out[f"{key}.density_coeffs"] = coeffs_from_values(sol.density)
         if near:
-            out[f"{key}.near_field"] = near_field(sol, _points())
+            out[f"{key}.near_field"] = near_field(sol, _near_points())
     if n == 512:
         entries = build_S_matrix(arc, k, grid).entries
         out[f"{kind}-{ratio:g}-{n}.s_sha256"] = np.array(hashlib.sha256(entries).hexdigest())

@@ -12,7 +12,7 @@ def test_outputs_match_the_golden_record():
     with np.load(make_golden.GOLDEN) as record:
         expect = dict(record)
     env = make_golden.environment()
-    bitwise = all(str(expect.pop(name)) == value for name, value in env.items())
+    bitwise = {name: str(expect.pop(name)) for name in env} == env
     got = make_golden.outputs()
     assert sorted(got) == sorted(expect)
     for name, value in got.items():
