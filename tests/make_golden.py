@@ -6,14 +6,19 @@ Regenerate it from the repository root with
     PYTHONPATH=src python3 tests/make_golden.py
 
 only when an output is meant to change, and state the largest change
-per output and why.  The record holds, for each case, the GMRES
-iteration count and residual history, 64 far-field samples and the
-density's cosine coefficients:
+per output and why: over an existing record it prints each output it
+adds, removes or changes, with the change's maximum relative to the
+output's peak.  The record holds, for each case, the GMRES iteration
+count and residual history, 64 far-field samples and the density's
+cosine coefficients:
 
 * every arc family x every formulation at L/lambda = 5, N = 128;
 * the spiral at L/lambda = 50, N = 512, TE_S and TM_NS;
 * the strip at L/lambda = 20, N = 512 (the field-map benchmark's
-  problem), TE_S and TM_NS, with the scattered field on a 12 x 6 map;
+  problem), TE_S and TM_NS, with the scattered field on a 12 x 6 map
+  and the far field at 720 and 63 samples too: its M = 248 resampling
+  directions make 720 samples take the FFT-resampled branch of
+  ``scattering.far_field``, and 63 the direct sum over an odd count;
 
 and the sha256 of ``S.entries`` at N = 512 on the strip and the spiral.
 Beside the data it keeps the numpy, scipy and BLAS versions and the
@@ -60,6 +65,8 @@ def _near_points() -> np.ndarray:
 
 
 def _case(out: dict, kind: str, ratio: float, n: int, formulations, near=False) -> None:
+    """Record each formulation's solve; ``near`` adds the near-field map
+    and the far field at 720 and 63 samples."""
     arc = make_arc(kind, FAMILY_PARAMS.get(kind, ()))
     k = wavenumber_for_ratio(arc, ratio)
     inc, grid = Incidence(INCIDENCE_DEG, k), theta_grid(n)
@@ -72,6 +79,8 @@ def _case(out: dict, kind: str, ratio: float, n: int, formulations, near=False) 
         out[f"{key}.density_coeffs"] = coeffs_from_values(sol.density)
         if near:
             out[f"{key}.near_field"] = near_field(sol, _near_points())
+            for m in (720, 63):
+                out[f"{key}.far_field_{m}"] = far_field(sol, m).values
     if n == 512:
         entries = build_S_matrix(arc, k, grid).entries
         out[f"{kind}-{ratio:g}-{n}.s_sha256"] = np.array(hashlib.sha256(entries).hexdigest())
@@ -87,11 +96,38 @@ def outputs() -> dict:
     return out
 
 
+def changes(old: dict, new: dict) -> list:
+    """One line per output added, removed or changed from old to new,
+    with a changed numeric output's largest change relative to its peak."""
+    lines = [f"added {name}" for name in sorted(new.keys() - old.keys())]
+    lines += [f"removed {name}" for name in sorted(old.keys() - new.keys())]
+    for name in sorted(old.keys() & new.keys()):
+        a, b = old[name], new[name]
+        if a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes():
+            continue
+        if a.dtype.kind not in "iufc" or b.dtype.kind not in "iufc":
+            lines.append(f"changed {name}: {a} -> {b}")
+        elif a.shape != b.shape:
+            lines.append(f"changed {name}: shape {a.shape} -> {b.shape}")
+        else:
+            delta, peak = np.max(np.abs(b - a)), np.max(np.abs(a))
+            lines.append(f"changed {name}: max change {delta / peak:.3e} of its peak"
+                         if peak else f"changed {name}: max change {delta:.3e}, peak 0")
+    return lines
+
+
 def main() -> None:
     GOLDEN.parent.mkdir(exist_ok=True)
     env = {name: np.array(value) for name, value in environment().items()}
-    np.savez_compressed(GOLDEN, **outputs(), **env)
+    new = {**outputs(), **env}
+    old = None
+    if GOLDEN.exists():
+        with np.load(GOLDEN) as record:
+            old = dict(record)
+    np.savez_compressed(GOLDEN, **new)
     print(f"wrote {GOLDEN} ({GOLDEN.stat().st_size} bytes)")
+    if old is not None:
+        print("\n".join(changes(old, new)) or "no output changed")
 
 
 if __name__ == "__main__":
