@@ -26,6 +26,7 @@ from .geometry import ARC_KINDS, make_arc, wavenumber_for_ratio
 from .grids import is_admissible, nearest_admissible, theta_grid
 from .linalg import DENSE_CAP, eig_dense
 from .scattering import (
+    FORMULATIONS,
     Incidence,
     dense_operator,
     far_field,
@@ -34,14 +35,6 @@ from .scattering import (
     near_field,
     solve,
 )
-
-_FORM_BY_POL = {
-    ("TE", "S"): "TE_S",
-    ("TE", "NS"): "TE_NS",
-    ("TE", "ATK"): "TE_ATKINSON",
-    ("TM", "N"): "TM_N",
-    ("TM", "NS"): "TM_NS",
-}
 
 _SPECTRUM_NAMES = {"S": "S", "N": "N", "NS": "NS", "ATK": "S0invS", "S0invS": "S0invS"}
 
@@ -94,16 +87,21 @@ def _wavenumber(args, arc):
 
 def _grid(n: int):
     if not is_admissible(n):
-        raise SystemExit(f"error: grid size {n} not admissible "
-                         "(need n >= 4 with prime factors in {2, 3, 5})")
+        raise SystemExit(f"error: grid size {n} not admissible (need n >= 4 with prime factors "
+                         "in {2, 3, 5}, below about 1.7e18, the largest size scipy.fft plans)")
     return theta_grid(n)
 
 
-def _formulation(args):
-    key = (args.pol, args.form)
-    if key not in _FORM_BY_POL:
+def _problem(args):
+    """The arc, incidence and formulation that the shared flags spell;
+    --pol and --form name one of ``FORMULATIONS``, with ATK for ATKINSON."""
+    arc = _make_arc(args)
+    inc = Incidence(angle_deg=args.inc_deg, k=_wavenumber(args, arc))
+    # ATK is the one alias; ATKINSON itself becomes ATKINSONINSON and is rejected
+    formulation = f"{args.pol}_{args.form}".replace("ATK", "ATKINSON")
+    if formulation not in FORMULATIONS:
         raise SystemExit(f"error: no formulation for polarization {args.pol} with --form {args.form}")
-    return _FORM_BY_POL[key]
+    return arc, inc, formulation
 
 
 def _outdir(args) -> Path:
@@ -129,18 +127,18 @@ def _run_solve(formulation, arc, inc, grid, args):
     return sol
 
 
+def _self_check(ff, formulation, arc, inc, n, args) -> float:
+    """eps_r of the far field ff of a solve on n against the solve on 2n."""
+    ref = _run_solve(formulation, arc, inc, _grid(2 * n), args)
+    return far_field_error(ff, far_field(ref, args.obs))
+
+
 def cmd_solve(args) -> int:
-    arc = _make_arc(args)
-    k = _wavenumber(args, arc)
+    arc, inc, formulation = _problem(args)
     grid = _grid(args.n)
-    inc = Incidence(angle_deg=args.inc_deg, k=k)
-    formulation = _formulation(args)
     sol = _run_solve(formulation, arc, inc, grid, args)
     ff = far_field(sol, args.obs)
-    eps_r = None
-    if args.self_check:
-        ref = _run_solve(formulation, arc, inc, _grid(2 * args.n), args)
-        eps_r = far_field_error(ff, far_field(ref, args.obs))
+    eps_r = _self_check(ff, formulation, arc, inc, grid.n, args) if args.self_check else None
 
     out = _outdir(args)
     _write_csv(out / "farfield.csv", "angle_deg,re,im,abs",
@@ -152,8 +150,8 @@ def cmd_solve(args) -> int:
     lines = [
         f"formulation: {formulation}",
         f"n: {grid.n}",
-        f"k: {_fmt(k)}",
-        f"L_over_lambda: {_fmt(k * arc.length / (2.0 * np.pi))}",
+        f"k: {_fmt(inc.k)}",
+        f"L_over_lambda: {_fmt(inc.k * arc.length / (2.0 * np.pi))}",
         f"iterations: {sol.report.iterations}",
         f"final_residual: {_fmt(sol.report.final_residual)}",
         f"mat_seconds: {_fmt(sol.mat_seconds)}",
@@ -191,8 +189,7 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_converge(args) -> int:
-    arc = _make_arc(args)
-    k = _wavenumber(args, arc)
+    arc, inc, formulation = _problem(args)
     values = _parse_floats(args.n, name="--n")
     if not all(v.is_integer() for v in values):
         raise SystemExit(f"error: --n expects integer grid sizes, got {args.n!r}")
@@ -201,15 +198,17 @@ def cmd_converge(args) -> int:
     requested = sorted(int(v) for v in values)
     sizes = []
     for n in requested:
-        m = nearest_admissible(n)
+        try:
+            m = nearest_admissible(n)
+        except (ValueError, OverflowError):  # beyond what scipy.fft plans
+            raise SystemExit(f"error: --n expects grid sizes below about 1.7e18, "
+                             f"the largest size scipy.fft plans, got {args.n!r}")
         if m != n:
             print(f"note: grid size {n} is not FFT-admissible, using {m}")
         if m not in sizes:
             sizes.append(m)
     if len(sizes) < 2:
         raise SystemExit("error: converge requires at least two distinct grid sizes")
-    inc = Incidence(angle_deg=args.inc_deg, k=k)
-    formulation = _formulation(args)
     fields = {}
     for n in sizes:
         sol = _run_solve(formulation, arc, inc, _grid(n), args)
@@ -224,11 +223,8 @@ def cmd_converge(args) -> int:
 
 
 def cmd_fieldmap(args) -> int:
-    arc = _make_arc(args)
-    k = _wavenumber(args, arc)
+    arc, inc, formulation = _problem(args)
     grid = _grid(args.n)
-    inc = Incidence(angle_deg=args.inc_deg, k=k)
-    formulation = _formulation(args)
     x0, y0, x1, y1 = _parse_floats(args.rect, 4, "--rect")
     if not (np.all(np.isfinite([x0, y0, x1, y1])) and x0 < x1 and y0 < y1):
         raise SystemExit("error: --rect expects finite x0,y0,x1,y1 with x0 < x1 and y0 < y1")
@@ -285,10 +281,10 @@ def cmd_tables(args) -> int:
     for ratio, n in _TABLE_ROWS:
         if ratio > args.cap:
             continue
-        k = wavenumber_for_ratio(arc, ratio)
-        inc = Incidence(angle_deg=args.inc_deg, k=k)
-        # Every formulation on grid n, then every reference on 2n, so the
-        # solves on one grid reuse one S.
+        inc = Incidence(angle_deg=args.inc_deg, k=wavenumber_for_ratio(arc, ratio))
+        # Every formulation on grid n, then every reference on 2n (fields
+        # stays empty without --self-check), so the solves on one grid
+        # reuse one S.
         grid = _grid(n)
         fields = []
         for formulation in formulations:
@@ -299,11 +295,8 @@ def cmd_tables(args) -> int:
                          _fmt(sol.mat_seconds), _fmt(sol.report.elapsed), ""])
             print(f"L/lambda={ratio:g} n={n} {formulation}: "
                   f"iterations={sol.report.iterations}")
-        if args.self_check:
-            ref_grid = _grid(2 * n)
-            for row, formulation, ff in zip(rows[-len(formulations):], formulations, fields):
-                ref = far_field(_run_solve(formulation, arc, inc, ref_grid, args), args.obs)
-                row[-1] = _fmt(far_field_error(ff, ref))
+        for row, formulation, ff in zip(rows[-len(formulations):], formulations, fields):
+            row[-1] = _fmt(_self_check(ff, formulation, arc, inc, n, args))
     _write_csv(_outdir(args) / f"table_{args.table}.csv",
                "L_over_lambda,n,formulation,iterations,mat_seconds,solve_seconds,eps_r",
                rows)

@@ -36,8 +36,11 @@ import scipy.fft
 
 def is_admissible(n: int) -> bool:
     """True when n >= 4 and n factors over {2, 3, 5} (fast FFT sizes);
-    raises as ``nearest_admissible`` does for sizes beyond about 1.7e18."""
-    return n >= 4 and scipy.fft.next_fast_len(n, real=True) == n
+    False beyond about 1.7e18, the largest size ``scipy.fft`` plans."""
+    try:
+        return n >= 4 and scipy.fft.next_fast_len(n, real=True) == n
+    except (ValueError, OverflowError):  # too large to plan
+        return False
 
 
 def nearest_admissible(n: int) -> int:
@@ -65,7 +68,8 @@ class ThetaGrid:
         operator.index(self.n)
         if not is_admissible(self.n):
             raise ValueError(
-                f"grid size {self.n} not admissible; need n >= 4 with prime factors in {{2, 3, 5}}")
+                f"grid size {self.n} not admissible; need n >= 4 with prime factors in {{2, 3, 5}}, "
+                "below about 1.7e18, the largest size scipy.fft plans")
         nodes = np.pi * (2.0 * np.arange(self.n) + 1.0) / (2.0 * self.n)
         nodes.flags.writeable = False
         object.__setattr__(self, "nodes", nodes)

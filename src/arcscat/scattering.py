@@ -75,6 +75,23 @@ TE_FORMULATIONS = ("TE_S", "TE_NS", "TE_ATKINSON")
 TM_FORMULATIONS = ("TM_N", "TM_NS")
 
 
+def _real(value, label: str) -> float:
+    """Any Real (a Fraction, say) as the float numpy computes with; a bool
+    or a non-real value raises TypeError naming the label."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{label} must be a real number")
+    return float(value)
+
+
+def _wavenumber(k) -> float:
+    """k as a float, checked by the one rule of ``Incidence`` and
+    ``dense_operator``: a finite, positive real number."""
+    k = _real(k, "wavenumber")
+    if not (np.isfinite(k) and k > 0.0):
+        raise ValueError("wavenumber must be finite and positive")
+    return k
+
+
 @dataclass(frozen=True)
 class Incidence:
     """Incident plane wave: propagation angle (degrees from +x) and k."""
@@ -83,16 +100,11 @@ class Incidence:
     k: float
 
     def __post_init__(self):
-        for name, label in (("angle_deg", "incidence angle"), ("k", "wavenumber")):
-            value = getattr(self, name)
-            if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
-                raise TypeError(f"{label} must be a real number")
-            # any Real (a Fraction, say) as the float numpy computes with
-            object.__setattr__(self, name, float(value))
-        if not np.isfinite(self.angle_deg):
+        angle = _real(self.angle_deg, "incidence angle")
+        if not np.isfinite(angle):
             raise ValueError("incidence angle must be finite")
-        if not (np.isfinite(self.k) and self.k > 0.0):
-            raise ValueError("wavenumber must be finite and positive")
+        object.__setattr__(self, "angle_deg", angle)
+        object.__setattr__(self, "k", _wavenumber(self.k))
 
     @property
     def direction(self) -> np.ndarray:
@@ -260,10 +272,12 @@ def dense_operator(name: str, arc: Arc, k: float, grid: ThetaGrid) -> np.ndarray
     action on the identity, applied to stacks of about N/8 of its columns
     at a time, so that the action's temporaries (about 12 densities per
     density for N) stay below twice the result.  Name, the types of
-    ``arc`` and ``grid``, and size are checked before S is built."""
+    ``arc`` and ``grid``, k (as ``Incidence`` checks it) and size are
+    checked before the memo is read, so a bad call leaves S resident."""
     if name not in _OPERATORS.values():
         raise ValueError(f"unknown operator name {name!r}; expected S, N, NS or S0invS")
     _check_types(arc=arc, grid=grid)
+    k = _wavenumber(k)
     if grid.n > DENSE_CAP:
         raise ValueError(f"dense assembly capped at {DENSE_CAP}, requested {grid.n}")
     s, _ = _discretize(arc, k, grid)

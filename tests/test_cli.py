@@ -166,6 +166,44 @@ def test_bad_formulation_combo_rejected(tmp_path):
              "--pol", "TM", "--form", "ATK", "--out", str(tmp_path)])
 
 
+ACCEPTED_FORMS = {("TE", "S"): "TE_S", ("TE", "NS"): "TE_NS", ("TE", "ATK"): "TE_ATKINSON",
+                  ("TM", "N"): "TM_N", ("TM", "NS"): "TM_NS"}
+
+
+@pytest.mark.parametrize("pol", ["TE", "TM"])
+@pytest.mark.parametrize("form", ["S", "N", "NS", "ATK", "ATKINSON", "S0invS"])
+def test_pol_and_form_spell_a_formulation(tmp_path, pol, form):
+    # ATK is the one alias, for ATKINSON; no other spelling is accepted
+    args = ["solve", "--arc", "strip", "--ratio", "1", "--n", "16", "--obs", "4",
+            "--pol", pol, "--form", form, "--out", str(tmp_path)]
+    if (pol, form) in ACCEPTED_FORMS:
+        assert run(args) == 0
+        report = (tmp_path / "report.txt").read_text()
+        assert f"formulation: {ACCEPTED_FORMS[pol, form]}\n" in report
+    else:
+        with pytest.raises(SystemExit, match=re.escape(
+                f"error: no formulation for polarization {pol} with --form {form}")):
+            run(args)
+
+
+@pytest.mark.parametrize("command,n,message", [
+    ("solve", "2000000000000000000", "grid size 2000000000000000000 not admissible"),
+    ("solve", "99999999999999999999", "grid size 99999999999999999999 not admissible"),
+    ("spectrum", "2000000000000000000", "grid size 2000000000000000000 not admissible"),
+    ("fieldmap", "2000000000000000000", "grid size 2000000000000000000 not admissible"),
+    ("fieldmap", "99999999999999999999", "grid size 99999999999999999999 not admissible"),
+    ("converge", "64,2000000000000000000", "--n expects grid sizes below about 1.7e18"),
+    ("converge", "64,1e300", "--n expects grid sizes below about 1.7e18"),
+], ids=["solve-2e18", "solve-1e20", "spectrum-2e18", "fieldmap-2e18", "fieldmap-1e20",
+        "converge-2e18", "converge-1e300"])
+def test_grid_sizes_beyond_the_fft_limit_are_rejected(tmp_path, monkeypatch, command, n, message):
+    # scipy.fft plans no size beyond about 1.7e18, 2/3/5-smooth or not
+    monkeypatch.setattr(cli, "_run_solve", lambda *args: pytest.fail("a solve ran"))
+    with pytest.raises(SystemExit, match=re.escape(f"error: {message}")) as exc:
+        run([command, "--arc", "strip", "--ratio", "1", f"--n={n}", "--out", str(tmp_path)])
+    assert "the largest size scipy.fft plans" in str(exc.value)
+
+
 def test_spectrum_outputs(tmp_path):
     out = tmp_path / "eigs"
     rc = run(["spectrum", "--arc", "spiral", "--ratio", "10", "--n", "80",

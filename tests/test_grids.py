@@ -34,6 +34,14 @@ def test_admissible_sizes():
         assert not is_admissible(n)
 
 
+@pytest.mark.parametrize("n", [2 * 10**18, 2**63, 10**20])
+def test_sizes_beyond_what_scipy_fft_plans_are_not_admissible(n):
+    # 2e18 = 2^18 5^18 is 2/3/5-smooth, but beyond scipy.fft's limit
+    assert not is_admissible(n)
+    with pytest.raises(ValueError, match="below about 1.7e18, the largest size scipy.fft plans"):
+        theta_grid(n)
+
+
 def test_grids_of_one_size_are_equal():
     assert theta_grid(8) == theta_grid(8)
     assert hash(theta_grid(8)) == hash(theta_grid(8))

@@ -5,6 +5,7 @@ import dataclasses
 import gc
 import math
 import os
+import re
 import sys
 import threading
 import weakref
@@ -1021,6 +1022,22 @@ def test_dense_operator_rejects_a_wrongly_typed_problem_by_name(builds, argument
     with pytest.raises(TypeError, match=f"^{argument} must be"):
         dense_operator("S", **problem)
     assert builds == []
+
+
+@pytest.mark.parametrize("k", [-1.0, math.inf, True, 1 + 0j, "3", None],
+                         ids=["negative", "inf", "bool", "complex", "str", "none"])
+def test_dense_operator_checks_k_before_the_memo(builds, k):
+    # a bad k raises Incidence's error, and the S of the last solve stays
+    # resident: the memo is neither emptied nor refilled
+    arc, g = make_arc("strip"), theta_grid(32)
+    s = memo_s(solve("TE_S", arc, Incidence(60.0, 3.0), g))
+    builds.clear()
+    with pytest.raises((TypeError, ValueError)) as expected:
+        Incidence(60.0, k)
+    with pytest.raises(expected.type, match=f"^{re.escape(str(expected.value))}$"):
+        dense_operator("S", arc, k, g)
+    assert builds == []
+    assert scattering._last[1] is s
 
 
 def test_second_solve_reuses_s(builds):
