@@ -20,7 +20,9 @@ cosine coefficients:
   directions make 720 samples take the FFT-resampled branch of
   ``scattering.far_field``, and 63 the direct sum over an odd count;
 
-and the sha256 of ``S.entries`` at N = 512 on the strip and the spiral.
+and the sha256 of ``S.entries`` at N = 512 on the strip and the spiral,
+and of the dense S, N, NS and S0invS of ``dense_operator`` on the
+spiral at L/lambda = 5, N = 128.
 Beside the data it keeps the numpy, scipy and BLAS versions and the
 widest SIMD target numpy dispatches to, which decide the last bits.
 """
@@ -36,7 +38,14 @@ import scipy
 from arcscat.geometry import ARC_KINDS, make_arc, wavenumber_for_ratio
 from arcscat.grids import coeffs_from_values, theta_grid
 from arcscat.operators import build_S_matrix
-from arcscat.scattering import FORMULATIONS, Incidence, far_field, near_field, solve
+from arcscat.scattering import (
+    FORMULATIONS,
+    Incidence,
+    dense_operator,
+    far_field,
+    near_field,
+    solve,
+)
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "outputs.npz"
 INCIDENCE_DEG = 50.0
@@ -86,11 +95,21 @@ def _case(out: dict, kind: str, ratio: float, n: int, formulations, near=False) 
         out[f"{kind}-{ratio:g}-{n}.s_sha256"] = np.array(hashlib.sha256(entries).hexdigest())
 
 
+def _dense_hashes(out: dict, kind: str, ratio: float, n: int) -> None:
+    """Record the sha256 of the dense matrix of each operator GMRES applies."""
+    arc = make_arc(kind)
+    k = wavenumber_for_ratio(arc, ratio)
+    for name in ("S", "N", "NS", "S0invS"):
+        dense = dense_operator(name, arc, k, theta_grid(n))
+        out[f"{kind}-{ratio:g}-{n}.dense_{name}_sha256"] = np.array(hashlib.sha256(dense).hexdigest())
+
+
 def outputs() -> dict:
     """Every recorded output, by name, as numpy arrays."""
     out = {}
     for kind in ARC_KINDS:
         _case(out, kind, 5.0, 128, FORMULATIONS)
+    _dense_hashes(out, "spiral", 5.0, 128)
     _case(out, "spiral", 50.0, 512, ("TE_S", "TM_NS"))
     _case(out, "strip", 20.0, 512, ("TE_S", "TM_NS"), near=True)
     return out
