@@ -13,6 +13,7 @@ from .operators import (
     OperatorMatrix,
     build_log_quad,
     build_S_matrix,
+    dense_operator,
     n_apply,
     n_frame,
 )
@@ -20,7 +21,6 @@ from .scattering import (
     FarField,
     Incidence,
     Solution,
-    dense_operator,
     far_field,
     far_field_error,
     incident_field,

@@ -22,13 +22,14 @@ from pathlib import Path
 
 import numpy as np
 
+from . import scattering
 from .geometry import ARC_KINDS, make_arc, wavenumber_for_ratio
 from .grids import is_admissible, nearest_admissible, theta_grid
 from .linalg import DENSE_CAP, eig_dense
+from .operators import dense_operator
 from .scattering import (
     FORMULATIONS,
     Incidence,
-    dense_operator,
     far_field,
     far_field_error,
     incident_field,
@@ -178,8 +179,10 @@ def cmd_spectrum(args) -> int:
         if _SPECTRUM_NAMES[part] not in names:  # a repeat, or ATK beside S0invS
             names.append(_SPECTRUM_NAMES[part])
     out = _outdir(args)
+    # one S for every name, built through scattering like a solve's
+    s = scattering.build_S_matrix(arc, k, grid)
     for name in names:
-        lam = eig_dense(dense_operator(name, arc, k, grid))
+        lam = eig_dense(dense_operator(name, s))
         order = np.lexsort((lam.imag, lam.real))
         _write_csv(out / f"eigs_{name}.csv", "re,im",
                    ([_fmt(v.real), _fmt(v.imag)] for v in lam[order]))

@@ -37,7 +37,8 @@ There are three groups.
   their mirror; the three S products of N share one such pass, so N
   reads the stored half of K from memory once and NS twice.
   ``operator_action`` is the one table of S, N, NS and S0invS, applied
-  by GMRES and by ``scattering.dense_operator``.
+  by GMRES; ``dense_operator`` is its dense matrix on the S its caller
+  holds.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import specfun
 from .geometry import Arc, eval_arc
 from .grids import ThetaGrid, coeffs_from_values, d0_values, t0_values, values_from_coeffs
+from .linalg import DENSE_CAP
 from .specfun import _a1a2_offdiag, _a2_diagonal
 
 # bytes of K per stored row block, the unit of the blocked S products
@@ -315,3 +317,22 @@ def operator_action(name: str, s: OperatorMatrix):
     if name not in actions:
         raise ValueError(f"unknown operator name {name!r}; expected S, N, NS or S0invS")
     return actions[name]
+
+
+def dense_operator(name: str, s: OperatorMatrix) -> np.ndarray:
+    """Dense matrix of ``operator_action(name, s)``: for ``"S"`` a new
+    array ``s.dense()``, else the action on the identity, applied to
+    stacks of about N/8 of its columns at a time, so that the action's
+    temporaries (about 12 densities per density for N) stay below twice
+    the result.  The name and N <= ``DENSE_CAP`` are checked first."""
+    action, n = operator_action(name, s), s.n
+    if n > DENSE_CAP:
+        raise ValueError(f"dense assembly capped at {DENSE_CAP}, requested {n}")
+    if name == "S":
+        return s.dense()
+    dense = np.empty((n, n), dtype=complex)
+    step = -(-n // 8)
+    for c0 in range(0, n, step):
+        c1 = min(n, c0 + step)
+        dense[:, c0:c1] = action(np.eye(c1 - c0, n, c0)).T
+    return dense

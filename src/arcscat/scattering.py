@@ -57,7 +57,7 @@ from .grids import (
     theta_grid,
     values_from_coeffs,
 )
-from .linalg import DENSE_CAP, SolveReport, gmres, gmres_limits
+from .linalg import SolveReport, gmres, gmres_limits
 from .operators import (
     NFrame,
     build_S_matrix,
@@ -83,15 +83,6 @@ def _real(value, label: str) -> float:
     return float(value)
 
 
-def _wavenumber(k) -> float:
-    """k as a float, checked by the one rule of ``Incidence`` and
-    ``dense_operator``: a finite, positive real number."""
-    k = _real(k, "wavenumber")
-    if not (np.isfinite(k) and k > 0.0):
-        raise ValueError("wavenumber must be finite and positive")
-    return k
-
-
 @dataclass(frozen=True)
 class Incidence:
     """Incident plane wave: propagation angle (degrees from +x) and k."""
@@ -103,8 +94,11 @@ class Incidence:
         angle = _real(self.angle_deg, "incidence angle")
         if not np.isfinite(angle):
             raise ValueError("incidence angle must be finite")
+        k = _real(self.k, "wavenumber")
+        if not (np.isfinite(k) and k > 0.0):
+            raise ValueError("wavenumber must be finite and positive")
         object.__setattr__(self, "angle_deg", angle)
-        object.__setattr__(self, "k", _wavenumber(self.k))
+        object.__setattr__(self, "k", k)
 
     @property
     def direction(self) -> np.ndarray:
@@ -183,8 +177,8 @@ _last: Optional[tuple] = None
 
 def _discretize(arc: Arc, k: float, grid: ThetaGrid):
     """S of (arc, k, grid), read-only and carrying its node frame, reused
-    from the previous solve or ``dense_operator`` when it ran on the same
-    discretization, with the seconds spent assembling S (0.0 on reuse)."""
+    from the previous solve when it ran on the same discretization, with
+    the seconds spent assembling S (0.0 on reuse)."""
     global _last
     builder, s = _last or (None, None)
     # Equal arcs are the same curve.  A builder since replaced (patched
@@ -202,7 +196,7 @@ def _discretize(arc: Arc, k: float, grid: ThetaGrid):
     return s, mat_seconds
 
 
-# What each problem argument of solve and dense_operator must be.
+# What each problem argument of solve must be.
 _ARGUMENT_TYPES = {"arc": (Arc, "an Arc, from make_arc(kind)"),
                    "inc": (Incidence, "an Incidence(angle_deg, k)"),
                    "grid": (ThetaGrid, "a ThetaGrid, from theta_grid(n)")}
@@ -229,11 +223,10 @@ def solve(formulation: str, arc: Arc, inc: Incidence, grid: ThetaGrid,
 
     S and the node frame it carries depend on the arc, k and the grid,
     not on the incidence or the formulation, so a solve on an equal
-    arc, the same k and grid size as the last solve or
-    ``dense_operator`` reuses S and reports ``mat_seconds`` = 0.0.  The
-    memo alone holds S: the last S stays resident until a solve on
-    another discretization replaces it (331 MB at N = 6400), and no
-    Solution keeps it alive.
+    arc, the same k and grid size as the last solve reuses S and
+    reports ``mat_seconds`` = 0.0.  The memo alone holds S: the last S
+    stays resident until a solve on another discretization replaces it
+    (331 MB at N = 6400), and no Solution keeps it alive.
 
     Returns a Solution whose ``report`` carries the iteration count and
     residual history; ``report.converged`` is False when maxit was hit.
@@ -263,33 +256,6 @@ def solve(formulation: str, arc: Arc, inc: Incidence, grid: ThetaGrid,
     return Solution(formulation=formulation, density=x, layer_density=layer, report=report,
                     arc=arc, k=k, grid=grid, incidence=inc, frame=frame,
                     mat_seconds=mat_seconds)
-
-
-def dense_operator(name: str, arc: Arc, k: float, grid: ThetaGrid) -> np.ndarray:
-    """Dense matrix of ``operator_action(name, S)``, the action GMRES
-    applies, on the S a solve on (arc, k, grid) shares and leaves
-    resident: for ``"S"`` a new array ``S.dense()``, else the
-    action on the identity, applied to stacks of about N/8 of its columns
-    at a time, so that the action's temporaries (about 12 densities per
-    density for N) stay below twice the result.  Name, the types of
-    ``arc`` and ``grid``, k (as ``Incidence`` checks it) and size are
-    checked before the memo is read, so a bad call leaves S resident."""
-    if name not in _OPERATORS.values():
-        raise ValueError(f"unknown operator name {name!r}; expected S, N, NS or S0invS")
-    _check_types(arc=arc, grid=grid)
-    k = _wavenumber(k)
-    if grid.n > DENSE_CAP:
-        raise ValueError(f"dense assembly capped at {DENSE_CAP}, requested {grid.n}")
-    s, _ = _discretize(arc, k, grid)
-    if name == "S":
-        return s.dense()
-    action, n = operator_action(name, s), grid.n
-    dense = np.empty((n, n), dtype=complex)
-    step = -(-n // 8)
-    for c0 in range(0, n, step):
-        c1 = min(n, c0 + step)
-        dense[:, c0:c1] = action(np.eye(c1 - c0, n, c0)).T
-    return dense
 
 
 def te_layer_density(sol: Solution) -> np.ndarray:

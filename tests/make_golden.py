@@ -37,11 +37,10 @@ import scipy
 
 from arcscat.geometry import ARC_KINDS, make_arc, wavenumber_for_ratio
 from arcscat.grids import coeffs_from_values, theta_grid
-from arcscat.operators import build_S_matrix
+from arcscat.operators import build_S_matrix, dense_operator
 from arcscat.scattering import (
     FORMULATIONS,
     Incidence,
-    dense_operator,
     far_field,
     near_field,
     solve,
@@ -98,9 +97,9 @@ def _case(out: dict, kind: str, ratio: float, n: int, formulations, near=False) 
 def _dense_hashes(out: dict, kind: str, ratio: float, n: int) -> None:
     """Record the sha256 of the dense matrix of each operator GMRES applies."""
     arc = make_arc(kind)
-    k = wavenumber_for_ratio(arc, ratio)
+    s = build_S_matrix(arc, wavenumber_for_ratio(arc, ratio), theta_grid(n))
     for name in ("S", "N", "NS", "S0invS"):
-        dense = dense_operator(name, arc, k, theta_grid(n))
+        dense = dense_operator(name, s)
         out[f"{kind}-{ratio:g}-{n}.dense_{name}_sha256"] = np.array(hashlib.sha256(dense).hexdigest())
 
 

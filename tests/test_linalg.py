@@ -8,8 +8,8 @@ from arcscat.geometry import make_arc, wavenumber_for_ratio
 from arcscat.grids import theta_grid
 import arcscat.linalg as linalg
 from arcscat.linalg import GmresError, eig_dense, gmres
-from arcscat.operators import n_frame, s0_eigenvalues
-from arcscat.scattering import Incidence, dense_operator, tm_data
+from arcscat.operators import build_S_matrix, dense_operator, n_frame, s0_eigenvalues
+from arcscat.scattering import Incidence, tm_data
 from oracles import assemble_dense, j0_apply_values, s0_apply_values
 
 
@@ -177,7 +177,7 @@ def test_gmres_cgs2_matches_mgs_on_long_run():
     arc = make_arc("spiral")
     k = wavenumber_for_ratio(arc, 25.0)
     g = theta_grid(200)
-    a = dense_operator("N", arc, k, g)
+    a = dense_operator("N", build_S_matrix(arc, k, g))
     frame = n_frame(arc, k, g)
     b = tm_data(frame.points, frame.normals, Incidence(90.0, k))
     tol = 1e-10

@@ -37,6 +37,7 @@ from arcscat.operators import (
     _n_terms,
     build_log_quad,
     build_S_matrix,
+    dense_operator,
     n_apply,
     n_frame,
     operator_action,
@@ -44,7 +45,7 @@ from arcscat.operators import (
     s0_solve_values,
     s0tau_solve_values,
 )
-from arcscat.scattering import Incidence, dense_operator, solve, tm_data
+from arcscat.scattering import Incidence, solve, tm_data
 from arcscat.specfun import _a2_diagonal
 
 import oracles
@@ -689,7 +690,7 @@ def test_ns_small_k_clusters_at_quarter():
     arc = make_arc("strip")
     k = 0.1
     g = theta_grid(64)
-    lam = eig_dense(dense_operator("NS", arc, k, g))
+    lam = eig_dense(dense_operator("NS", build_S_matrix(arc, k, g)))
     dist = np.sort(np.abs(lam + 0.25))
     bulk = dist[: int(0.8 * 64)]
     assert bulk.mean() < 0.05
@@ -767,11 +768,11 @@ def test_assemble_ns_associativity(kind):
     nd = ng + pv / frame.tau[:, None]
     piped_n = assemble_dense(lambda v: n_apply(s, v), g)
     assert np.max(np.abs(piped_n - nd)) < 1e-11
-    assert np.max(np.abs(dense_operator("N", arc, k, g) - nd)) < 1e-11
+    assert np.max(np.abs(dense_operator("N", s) - nd)) < 1e-11
     piped = assemble_dense(lambda v: n_apply(s, dense @ v), g)
     product = nd @ dense
     assert np.max(np.abs(piped - product)) < 1e-11
-    assert np.max(np.abs(dense_operator("NS", arc, k, g) - product)) < 1e-11
+    assert np.max(np.abs(dense_operator("NS", s) - product)) < 1e-11
 
 
 @pytest.mark.parametrize("kind", ["spiral", "halfcircle"])
@@ -829,7 +830,7 @@ def test_ns_eigenvalue_clustering(kind, params, ratio):
     arc = make_arc(kind, params)
     k = wavenumber_for_ratio(arc, ratio)
     n = nearest_admissible(int(8 * ratio))
-    lam = eig_dense(dense_operator("NS", arc, k, theta_grid(n)))
+    lam = eig_dense(dense_operator("NS", build_S_matrix(arc, k, theta_grid(n))))
     mods = np.abs(lam)
     assert mods.min() > 0.02
     assert mods.max() < 50.0
@@ -839,9 +840,9 @@ def test_ns_eigenvalue_clustering(kind, params, ratio):
 def test_atkinson_spread_exceeds_ns_spread():
     arc = make_arc("spiral")
     k = wavenumber_for_ratio(arc, 50.0)
-    g = theta_grid(512)
-    lam_ns = eig_dense(dense_operator("NS", arc, k, g))
-    lam_atk = eig_dense(dense_operator("S0invS", arc, k, g))
+    s = build_S_matrix(arc, k, theta_grid(512))
+    lam_ns = eig_dense(dense_operator("NS", s))
+    lam_atk = eig_dense(dense_operator("S0invS", s))
     spread_ns = np.abs(lam_ns).max() / np.abs(lam_ns).min()
     spread_atk = np.abs(lam_atk).max() / np.abs(lam_atk).min()
     assert spread_atk >= 10.0 * spread_ns
@@ -852,33 +853,36 @@ def test_dense_operator_works_in_column_batches(name, allocation_peak):
     # the action on the whole identity stack at once held 9 (N) and 12
     # (NS) times the result; S and the frame are built before measuring
     arc = make_arc("spiral")
-    k = wavenumber_for_ratio(arc, 20.0)
-    g = theta_grid(512)
-    dense_operator("S", arc, k, g)
+    s = build_S_matrix(arc, wavenumber_for_ratio(arc, 20.0), theta_grid(512))
     dense = []
-    peak = allocation_peak(lambda: dense.append(dense_operator(name, arc, k, g)))
+    peak = allocation_peak(lambda: dense.append(dense_operator(name, s)))
     assert peak <= 3 * dense[0].nbytes
-    whole = operator_action(name, build_S_matrix(arc, k, g))(np.eye(g.n)).T
+    whole = operator_action(name, s)(np.eye(s.n)).T
     assert np.max(np.abs(dense[0] - whole)) < 1e-11
 
 
 def test_dense_operator_names():
-    arc = make_arc("strip")
-    g = theta_grid(16)
+    s = build_S_matrix(make_arc("strip"), 1.0, theta_grid(16))
     for name in ("S", "N", "NS", "S0invS"):
-        assert dense_operator(name, arc, 1.0, g).shape == (16, 16)
+        assert dense_operator(name, s).shape == (16, 16)
     with pytest.raises(ValueError):
-        dense_operator("Q", arc, 1.0, g)
+        dense_operator("Q", s)
 
 
 def test_dense_operator_rejects_an_unknown_name_before_building_s(monkeypatch):
-    monkeypatch.setattr(scattering, "build_S_matrix", lambda *args: pytest.fail("S was built"))
-    with pytest.raises(ValueError, match="unknown operator name"):
-        dense_operator("Q", make_arc("strip"), 1.0, theta_grid(16))
+    # the name is checked by operator_action, with its message, before
+    # any column is applied
+    monkeypatch.setattr(operators, "_s_products", lambda *args: pytest.fail("S was applied"))
+    s = build_S_matrix(make_arc("strip"), 1.0, theta_grid(16))
+    with pytest.raises(ValueError, match="^unknown operator name 'Q'; expected S, N, NS or S0invS$"):
+        dense_operator("Q", s)
 
 
 def test_dense_operator_rejects_n_above_the_cap_before_building_s(monkeypatch):
-    monkeypatch.setattr(scattering, "build_S_matrix", lambda *args: pytest.fail("S was built"))
-    assert 4320 > scattering.DENSE_CAP
-    with pytest.raises(ValueError, match="capped"):
-        dense_operator("S", make_arc("strip"), 1.0, theta_grid(4320))
+    # the cap is checked before the N x N result is allocated
+    s = build_S_matrix(make_arc("strip"), 1.0, theta_grid(16))
+    monkeypatch.setattr(operators, "DENSE_CAP", 15)
+    monkeypatch.setattr(operators, "_s_products", lambda *args: pytest.fail("S was applied"))
+    for name in ("S", "N", "NS", "S0invS"):
+        with pytest.raises(ValueError, match="^dense assembly capped at 15, requested 16$"):
+            dense_operator(name, s)
