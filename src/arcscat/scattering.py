@@ -492,9 +492,12 @@ def _node_counts(pts: np.ndarray, frame: NFrame, grid: ThetaGrid, k: float,
     b_sigma = above[-1] + 1.0 if above.size else 1.0
     rho = _theta_speed(frame, grid)
     b_far = k * rho + 2.0 * np.cbrt(k * rho) + 8.0
+    # B_K + excess is the kernel's bandwidth at rounding level, by the
+    # excess rule of far_field: density modes beyond it meet no kernel mode
+    excess = 10.0 * np.cbrt(k * rho) + 4.0
 
     counts = np.full(len(pts), n)
-    ladder = _node_ladder(n, 0.5 * (b_far + b_sigma))
+    ladder = _node_ladder(n, 0.5 * (b_far + min(b_far + excess, b_sigma)))
     if len(ladder) == 1:
         return counts
     d = _distance_bound(pts, frame.points, rho)
@@ -504,7 +507,7 @@ def _node_counts(pts: np.ndarray, frame: NFrame, grid: ThetaGrid, k: float,
     # beyond mode floor(ln(1 / DENSITY_CUTOFF)) / a
     with np.errstate(divide="ignore"):
         b_kernel = b_far + math.floor(-math.log(DENSITY_CUTOFF)) * rho / d[far]
-    steps = np.searchsorted(ladder, 0.5 * (b_kernel + b_sigma))
+    steps = np.searchsorted(ladder, 0.5 * (b_kernel + np.minimum(b_kernel + excess, b_sigma)))
     counts[far] = ladder[np.minimum(steps, len(ladder) - 1)]
     return counts
 
@@ -533,21 +536,31 @@ def near_field(sol: Solution, points: np.ndarray,
       evenly picked nodes, less the arc length between them.
 
     M is the smallest size of a ladder, N and the admissible sizes at
-    half-octave steps below it, that is at least (B_K + B_sigma) / 2:
-    the M-node rule integrates cosine modes below 2M exactly, so the
-    product of kernel and density is integrated exactly up to the
-    cutoff, and as M >= min(B_sigma, B_K), the density modes beyond M
-    meet no kernel mode.  The density is resampled by truncating its
-    cosine coefficients to M modes, and the M-node points and normals
-    come from ``n_frame`` once per distinct M.
+    half-octave steps below it, that is at least (B_K + min(B_K + E,
+    B_sigma)) / 2, with E = 10 (k rho)^(1/3) + 4: the M-node rule
+    integrates cosine modes below 2M exactly, so the product of kernel
+    and density is integrated exactly up to the cutoff, and as M >=
+    min(B_sigma, B_K), the density modes beyond M meet no kernel mode.
+    B_K + E is the kernel's bandwidth at rounding level, by the excess
+    rule of ``far_field`` (k rho + 12 (k rho)^(1/3) + 12): density modes
+    beyond it meet no kernel mode, so they need not be resolved, and a
+    density whose coefficients end on a 1-2e-14 rounding plateau costs
+    no more nodes than one that ends below the cutoff.  B_K alone is too
+    low a cap: far from the arc it underestimates the kernel's
+    rounding-level bandwidth (90 against 132 on the spiral at
+    L/lambda = 10, d = 6.6), and there such a rule missed the N-node
+    rule by 3e-12 of max |u|.  The density is resampled by truncating
+    its cosine coefficients to M modes, and the M-node points and
+    normals come from ``n_frame`` once per distinct M.
     Points with d < ``mask_distance``, and every point when no ladder
     size below N suffices even far away (e.g. a marginal grid), take the
     N-node rule with no distance pass, and their values and NaN masks
     are those of the N-node rule bitwise.  On the 48 x 24 map of the
-    strip at L/lambda = 20 with N = 512 (B_sigma about 100), the rule
-    evaluates 0.3 of the P N kernel entries, and agrees with the N-node
-    rule to 1e-14 of max |u| (1e-12 on strip, spiral, parabola and
-    half-circle at L/lambda up to 50).
+    strip at L/lambda = 20 with N = 512, the rule evaluates 0.3 of the
+    P N kernel entries (B_sigma about 100), or 0.38 where the density
+    ends on a plateau (B_sigma about 500, e.g. TE_S at 141 degrees), and
+    agrees with the N-node rule to 1e-14 of max |u| (1e-12 on strip,
+    spiral, parabola and half-circle at L/lambda up to 50).
 
     Points are evaluated in chunks of about ``specfun.CHUNK_ENTRIES``
     kernel entries (32 points at N = 512), and a point's value does not

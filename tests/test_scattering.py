@@ -800,6 +800,34 @@ def test_near_field_map_evaluates_a_third_of_the_kernel_entries(monkeypatch):
     assert np.max(np.abs(u[kept] - ref[kept])) <= 1e-12 * np.max(np.abs(ref[kept]))
 
 
+def test_near_field_asks_no_more_nodes_than_the_kernel_resolves(monkeypatch):
+    # At 141 degrees the TE_S density's cosine coefficients sit on a
+    # 1-2e-14 plateau from mode 128 on, so B_sigma reads about 500 where
+    # about 100 modes resolve the density.  Density modes beyond the
+    # kernel's bandwidth at rounding level meet no kernel mode, so the
+    # rule caps B_sigma there: 0.378 of P N Hankel entries, where
+    # B_sigma alone asked for 0.733.  The 86-degree map, whose B_sigma is
+    # below that cap, keeps its 0.302.
+    entries = []
+    real = scattering.hankel1_0
+    monkeypatch.setattr(scattering, "hankel1_0", lambda x: entries.append(np.size(x)) or real(x))
+    arc = make_arc("strip")
+    k = wavenumber_for_ratio(arc, 20.0)
+    gx, gy = np.meshgrid(np.linspace(-2.0, 2.0, 48), np.linspace(1.5, -1.5, 24))
+    pts = np.column_stack([gx.ravel(), gy.ravel()])
+    shares = {}
+    for angle in (141.0, 86.0):
+        sol = solve("TE_S", arc, Incidence(angle, k), theta_grid(512))
+        entries.clear()
+        u = near_field(sol, pts)
+        shares[angle] = sum(entries) / (len(pts) * 512)
+        ref = n_node_rule(sol, pts)
+        kept = np.isfinite(ref)
+        assert np.array_equal(np.isfinite(u), kept)
+        assert np.max(np.abs(u[kept] - ref[kept])) <= 1e-12 * np.max(np.abs(ref[kept]))
+    assert shares[141.0] <= 0.38 and shares[86.0] <= 0.303, shares
+
+
 def test_near_field_masks_points_on_arc():
     arc = make_arc("strip")
     k = wavenumber_for_ratio(arc, 10.0)
