@@ -24,7 +24,7 @@ import numpy as np
 
 from . import scattering
 from .geometry import ARC_KINDS, make_arc, wavenumber_for_ratio
-from .grids import is_admissible, nearest_admissible, theta_grid
+from .grids import nearest_admissible, theta_grid
 from .linalg import DENSE_CAP, eig_dense
 from .operators import dense_operator
 from .scattering import (
@@ -87,10 +87,10 @@ def _wavenumber(args, arc):
 
 
 def _grid(n: int):
-    if not is_admissible(n):
-        raise SystemExit(f"error: grid size {n} not admissible (need n >= 4 with prime factors "
-                         "in {2, 3, 5}, below about 1.7e18, the largest size scipy.fft plans)")
-    return theta_grid(n)
+    try:
+        return theta_grid(n)
+    except ValueError as exc:  # not admissible, or too large to allocate
+        raise SystemExit(f"error: {exc}")
 
 
 def _problem(args):
@@ -213,9 +213,9 @@ def cmd_converge(args) -> int:
     if len(sizes) < 2:
         raise SystemExit("error: converge requires at least two distinct grid sizes")
     fields = {}
-    for n in sizes:
-        sol = _run_solve(formulation, arc, inc, _grid(n), args)
-        fields[n] = far_field(sol, args.obs)
+    for grid in [_grid(n) for n in sizes]:  # every size checked before the first solve
+        sol = _run_solve(formulation, arc, inc, grid, args)
+        fields[grid.n] = far_field(sol, args.obs)
     ref = fields[sizes[-1]]
     rows = []
     for n in sizes[:-1]:

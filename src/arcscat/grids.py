@@ -45,19 +45,21 @@ def is_admissible(n: int) -> bool:
 
 def nearest_admissible(n: int) -> int:
     """Closest admissible grid size to n (ties resolved upward; 4 for
-    n < 4).  Sizes beyond the largest that ``scipy.fft`` plans (about
-    1.7e18) raise ValueError, and sizes from 2^63 on OverflowError."""
+    n < 4; the size below when the one above is beyond the largest that
+    ``scipy.fft`` plans, about 1.7e18).  Sizes beyond that limit raise
+    ValueError, and sizes from 2^63 on OverflowError."""
     n = operator.index(n)
     if n < 4:
         return 4
     lo, hi = scipy.fft.prev_fast_len(n, real=True), scipy.fft.next_fast_len(n, real=True)
-    return lo if n - lo < hi - n else hi
+    return hi if hi - n <= n - lo and is_admissible(hi) else lo
 
 
 @dataclass(frozen=True)
 class ThetaGrid:
     """N-point cosine-node grid theta_j = pi (2j + 1) / (2N), defined by
-    N alone: grids of one size are equal, and their nodes are read-only."""
+    N alone: grids of one size are equal, and their nodes are read-only.
+    A size whose nodes cannot be allocated raises ValueError."""
 
     n: int
     nodes: np.ndarray = field(init=False, repr=False, compare=False)
@@ -70,7 +72,10 @@ class ThetaGrid:
             raise ValueError(
                 f"grid size {self.n} not admissible; need n >= 4 with prime factors in {{2, 3, 5}}, "
                 "below about 1.7e18, the largest size scipy.fft plans")
-        nodes = np.pi * (2.0 * np.arange(self.n) + 1.0) / (2.0 * self.n)
+        try:
+            nodes = np.pi * (2.0 * np.arange(self.n) + 1.0) / (2.0 * self.n)
+        except MemoryError:
+            raise ValueError(f"grid size {self.n} too large: its nodes do not fit in memory") from None
         nodes.flags.writeable = False
         object.__setattr__(self, "nodes", nodes)
 

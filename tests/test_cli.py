@@ -260,6 +260,16 @@ def test_spectrum_atk_maps_to_s0invs(tmp_path):
     assert (out / "eigs_S0invS.csv").exists()
 
 
+@pytest.mark.parametrize("command,n", [("solve", "1000000000000000000"),
+                                       ("converge", "64,1000000000000000000")])
+def test_a_grid_too_large_to_allocate_fails_with_an_error_line(tmp_path, monkeypatch, command, n):
+    # converge builds every grid before its first solve, so nothing is built
+    monkeypatch.setattr(scattering, "build_S_matrix", lambda *args: pytest.fail("S was built"))
+    with pytest.raises(SystemExit, match=re.escape(
+            "error: grid size 1000000000000000000 too large: its nodes do not fit in memory")):
+        run([command, "--arc", "strip", "--ratio", "1", f"--n={n}", "--out", str(tmp_path)])
+
+
 def test_converge_requires_two_sizes(tmp_path):
     with pytest.raises(SystemExit):
         run(["converge", "--arc", "strip", "--ratio", "10", "--n", "128",

@@ -42,6 +42,14 @@ def test_sizes_beyond_what_scipy_fft_plans_are_not_admissible(n):
         theta_grid(n)
 
 
+def test_a_grid_too_large_to_allocate_is_rejected_by_size():
+    # 10^18 = 2^18 5^18 is admissible, but its 8 EB of nodes lie far
+    # beyond the user address space, so the allocation fails at once
+    assert is_admissible(10**18)
+    with pytest.raises(ValueError, match="^grid size 1000000000000000000 too large"):
+        theta_grid(10**18)
+
+
 def test_grids_of_one_size_are_equal():
     assert theta_grid(8) == theta_grid(8)
     assert hash(theta_grid(8)) == hash(theta_grid(8))
@@ -91,6 +99,14 @@ def test_nearest_admissible_matches_the_scan():
                                        (np.int64(7), 8)])
 def test_nearest_admissible_of_large_and_numpy_sizes(n, nearest):
     assert nearest_admissible(n) == nearest
+
+
+def test_nearest_admissible_stays_below_the_fft_limit():
+    # the nearer size, 1677721600000000000, is beyond what scipy.fft plans
+    n = 1676976733973595602
+    assert not is_admissible(1677721600000000000)
+    assert nearest_admissible(n) == 1673656512480000000
+    assert is_admissible(nearest_admissible(n))
 
 
 def test_nearest_admissible_rejects_non_integer_size():
