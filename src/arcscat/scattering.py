@@ -539,15 +539,13 @@ def near_field(sol: Solution, points: np.ndarray,
     half-octave steps below it, that is at least (B_K + min(B_K + E,
     B_sigma)) / 2, with E = 10 (k rho)^(1/3) + 4: the M-node rule
     integrates cosine modes below 2M exactly, so the product of kernel
-    and density is integrated exactly up to the cutoff, and as M >=
-    min(B_sigma, B_K), the density modes beyond M meet no kernel mode.
-    B_K + E is the kernel's bandwidth at rounding level, by the excess
-    rule of ``far_field`` (k rho + 12 (k rho)^(1/3) + 12): density modes
-    beyond it meet no kernel mode, so they need not be resolved, and a
-    density whose coefficients end on a 1-2e-14 rounding plateau costs
-    no more nodes than one that ends below the cutoff.  B_K alone is too
-    low a cap: far from the arc it underestimates the kernel's
-    rounding-level bandwidth (90 against 132 on the spiral at
+    and density is integrated exactly up to the cutoff.  B_K + E is the
+    kernel's bandwidth at rounding level, by the excess rule of
+    ``far_field`` (k rho + 12 (k rho)^(1/3) + 12): density modes beyond
+    it meet no kernel mode, so a density whose coefficients end on a
+    1-2e-14 rounding plateau costs no more nodes than the kernel asks.
+    B_K alone is too low a cap: far from the arc it underestimates the
+    kernel's rounding-level bandwidth (90 against 132 on the spiral at
     L/lambda = 10, d = 6.6), and there such a rule missed the N-node
     rule by 3e-12 of max |u|.  The density is resampled by truncating
     its cosine coefficients to M modes, and the M-node points and

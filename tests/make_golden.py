@@ -38,13 +38,7 @@ import scipy
 from arcscat.geometry import ARC_KINDS, make_arc, wavenumber_for_ratio
 from arcscat.grids import coeffs_from_values, theta_grid
 from arcscat.operators import build_S_matrix, dense_operator
-from arcscat.scattering import (
-    FORMULATIONS,
-    Incidence,
-    far_field,
-    near_field,
-    solve,
-)
+from arcscat.scattering import FORMULATIONS, Incidence, far_field, near_field, solve
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "outputs.npz"
 INCIDENCE_DEG = 50.0

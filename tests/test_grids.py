@@ -95,18 +95,14 @@ def test_nearest_admissible_matches_the_scan():
         assert nearest_admissible(n) == bisected_nearest_admissible(n), n
 
 
+# the size nearest 1676976733973595602, 1677721600000000000, is beyond
+# what scipy.fft plans, so the size below is taken
 @pytest.mark.parametrize("n,nearest", [(10**12 + 1, 10**12), (10**18 + 1, 10**18),
-                                       (np.int64(7), 8)])
+                                       (np.int64(7), 8),
+                                       (1676976733973595602, 1673656512480000000)])
 def test_nearest_admissible_of_large_and_numpy_sizes(n, nearest):
     assert nearest_admissible(n) == nearest
-
-
-def test_nearest_admissible_stays_below_the_fft_limit():
-    # the nearer size, 1677721600000000000, is beyond what scipy.fft plans
-    n = 1676976733973595602
-    assert not is_admissible(1677721600000000000)
-    assert nearest_admissible(n) == 1673656512480000000
-    assert is_admissible(nearest_admissible(n))
+    assert is_admissible(nearest)
 
 
 def test_nearest_admissible_rejects_non_integer_size():

@@ -21,7 +21,6 @@ from scipy import special
 from scipy.integrate import quad
 
 import arcscat.operators as operators
-import arcscat.scattering as scattering
 import arcscat.specfun as specfun
 
 from arcscat.geometry import eval_arc, make_arc, wavenumber_for_ratio
