@@ -238,11 +238,13 @@ def cmd_fieldmap(args) -> int:
     if w < 2 or h < 2:
         raise SystemExit("error: --res expects at least 2x2")
 
+    try:  # row 0 at the top of the image
+        gx, gy = np.meshgrid(np.linspace(x0, x1, w), np.linspace(y1, y0, h))
+        pts = np.column_stack([gx.ravel(), gy.ravel()])
+    except MemoryError:
+        raise SystemExit(f"error: --res {w}x{h} too large: its points do not fit in memory")
+
     sol = _run_solve(formulation, arc, inc, grid, args)
-    xs = np.linspace(x0, x1, w)
-    ys = np.linspace(y1, y0, h)  # row 0 at the top of the image
-    gx, gy = np.meshgrid(xs, ys)
-    pts = np.column_stack([gx.ravel(), gy.ravel()])
     total = near_field(sol, pts) + incident_field(inc, pts)
     masked = ~np.isfinite(total.real)
 

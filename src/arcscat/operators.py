@@ -23,9 +23,8 @@ There are three groups.
   is produced by a single FFT, so the N x N matrix assembles in
   O(N^2 log N).  S = K diag(w) with a kernel K that is symmetric to the
   last bit, so K is evaluated on the upper triangle only and stored
-  once, as packed upper row blocks; the J0/Y0 evaluation of a panel of
-  more than one chunk (every panel for N > 1024) runs on a thread pool
-  sized to the usable cores.
+  once, as packed upper row blocks, assembled in place on the calling
+  thread in row panels of one L2-sized chunk each.
 
 * The hypersingular action N v = Ng v + (1/tau) D0 S T0_tau v
   (``n_apply``), applied as dense matvecs interleaved with fast
@@ -43,9 +42,6 @@ There are three groups.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -169,7 +165,7 @@ def build_log_quad(grid: ThetaGrid) -> np.ndarray:
     return -np.real(scipy.fft.fft(c))
 
 
-def _kernel_panel(k, x, px, py, r, a2_diag, lo: int, hi: int, out, pool) -> None:
+def _kernel_panel(k, x, px, py, r, a2_diag, lo: int, hi: int, out) -> None:
     """Write the unweighted kernel A1 R + A2 of S on the upper-triangle
     row panel rows lo..hi-1, columns lo..N-1, with the coincidence limits
     on its diagonal, into ``out``, a view of that shape."""
@@ -182,7 +178,7 @@ def _kernel_panel(k, x, px, py, r, a2_diag, lo: int, hi: int, out, pool) -> None
     dist[diag] = 1.0
     dcos[diag] = 1.0
     np.log(dcos, out=dcos)
-    a1 = _a1a2_offdiag(k, dist, dcos, out, pool)
+    a1 = _a1a2_offdiag(k, dist, dcos, out)
     a1[diag] = -1.0 / (2.0 * np.pi)
     out[diag] = a2_diag
     # R_j(theta_n) = r(|n - j|) + r(n + j + 1): Toeplitz and Hankel views of r
@@ -204,21 +200,13 @@ def build_S_matrix(arc: Arc, k: float, grid: ThetaGrid) -> OperatorMatrix:
     only and stored once, unweighted, in the row blocks of
     ``OperatorMatrix`` (sized by ``ROW_BLOCK_BYTES`` for the products).
     The build walks those blocks and assembles each in place, in row
-    panels of max(``specfun.CHUNK_ENTRIES``, N^2/64) entries that end at
-    their block's last row.  Up to N = 1024 a panel is one L2-sized
-    chunk, and its diagonal square, evaluated whole, stays small.  Each
-    panel ends in a wait for the J0/Y0 pool, which costs milliseconds on
-    a busy host, so panels grow like N^2/64; above N ~ 2900 that exceeds
-    a stored block, and each block is one panel, so the temporaries stay
-    bounded whatever N.  Each panel's A1 R + A2 is written straight into
-    its rows of the block, and the part of the block's diagonal square
-    left of the panel is filled by a transpose copy of the block's
-    earlier rows; no panel is held apart from S.  J0/Y0, most of the
-    cost, fill A2 in row chunks of about ``specfun.CHUNK_ENTRIES``
-    entries on a thread pool sized to the usable cores (no pool with
-    one core) that lives for this call; a panel of one chunk (every
-    panel for N <= 1024) stays on the calling thread.  Every other step,
-    and every call into another arcscat module, stays on the calling
+    panels of about ``specfun.CHUNK_ENTRIES`` entries (one row at least)
+    that end at their block's last row, so a panel's temporaries fit in
+    L2 and its diagonal square, evaluated whole, stays small.  Each
+    panel's A1 R + A2 is written straight into its rows of the block,
+    and the part of the block's diagonal square left of the panel is
+    filled by a transpose copy of the block's earlier rows; no panel is
+    held apart from S.  Every step, J0/Y0 included, runs on the calling
     thread.  ``dense()`` is bitwise the same as a serial full-matrix
     build.  The log-rule vector comes from one FFT, for an overall
     O(N^2 log N) build.  The arc is evaluated once, by ``n_frame``, and S
@@ -241,19 +229,14 @@ def build_S_matrix(arc: Arc, k: float, grid: ThetaGrid) -> OperatorMatrix:
     size = sum((r1 - r0) * (n - r0) for r0, r1 in zip(rows, rows[1:]))
     s = OperatorMatrix(n=n, k=k, arc=arc, entries=np.empty(size, dtype=complex),
                        weight=(np.pi / n) * frame.tau, rows=rows, frame=frame)
-    # usable cores; platforms without affinity masks report every core
-    workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-               else os.cpu_count() or 1)
-    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
-        panel = max(specfun.CHUNK_ENTRIES, n * n // 64)
-        for r0, r1, block in s.blocks():
-            lo = r0
-            while lo < r1:
-                hi = min(r1, lo + max(1, panel // (n - lo)))
-                _kernel_panel(k, x, px, py, r, a2_diag[lo:hi], lo, hi,
-                              block[lo - r0 : hi - r0, lo - r0 :], pool)
-                block[lo - r0 : hi - r0, : lo - r0] = block[: lo - r0, lo - r0 : hi - r0].T
-                lo = hi
+    for r0, r1, block in s.blocks():
+        lo = r0
+        while lo < r1:
+            hi = min(r1, lo + max(1, specfun.CHUNK_ENTRIES // (n - lo)))
+            _kernel_panel(k, x, px, py, r, a2_diag[lo:hi], lo, hi,
+                          block[lo - r0 : hi - r0, lo - r0 :])
+            block[lo - r0 : hi - r0, : lo - r0] = block[: lo - r0, lo - r0 : hi - r0].T
+            lo = hi
     for values in (s.entries, s.weight, *vars(frame).values()):
         values.flags.writeable = False
     return s

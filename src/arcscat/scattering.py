@@ -519,7 +519,8 @@ def near_field(sol: Solution, points: np.ndarray,
     ``points`` has shape (2,), which gives a scalar, or (P, 2).  Points
     closer to the arc than ``mask_distance`` (default: twice the maximum
     node spacing, below which the smooth rule degrades) are returned as
-    NaN, as is a point on a node, whatever the mask.  No
+    NaN, as is a point on a node, whatever the mask.  A mask that is not
+    a real number (a bool, say) raises TypeError.  No
     singularity-cancellation close evaluation is attempted.
 
     Each point is evaluated with the node rule on M <= N nodes, chosen
@@ -575,8 +576,10 @@ def near_field(sol: Solution, points: np.ndarray,
     frame = sol.frame
     if mask_distance is None:
         mask_distance = 2.0 * _max_spacing(frame.points)
-    elif not (np.isfinite(mask_distance) and mask_distance >= 0.0):
-        raise ValueError("mask_distance must be finite and >= 0")
+    else:
+        mask_distance = _real(mask_distance, "mask_distance")
+        if not (np.isfinite(mask_distance) and mask_distance >= 0.0):
+            raise ValueError("mask_distance must be finite and >= 0")
     tm = sol.formulation not in TE_FORMULATIONS
     density = _quadrature_density(sol)
     coeffs = coeffs_from_values(density)

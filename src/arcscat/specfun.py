@@ -21,7 +21,7 @@ using R / |cos theta - cos theta'| -> tau(cos theta).  ``_a1a2_offdiag``
 and ``_a2_diagonal`` evaluate A1 and A2 on the entries of the S
 assembly, from distances and cosine gaps the caller computes;
 ``_a1a2_offdiag`` writes A2 into the caller's array, a panel's rows of a
-stored block of S.
+stored block of S, in one pass on the calling thread.
 
 J_0, Y_0, J_1 and Y_1 are the scipy.special ufuncs j0, y0, j1, y1; the
 Hankel functions are written from them into one complex array, J into
@@ -35,11 +35,11 @@ import numpy as np
 from scipy import special
 
 EULER_GAMMA = float(np.euler_gamma)
-# Entries per chunk of every chunked loop of arcscat: the row chunks of
-# _a1a2_offdiag (about this many entries each, one row at least), the
-# floor of the S assembly's panels and the row chunks of the near and far
-# fields.  Their temporaries take about 40 bytes an entry, so one chunk's
-# fit in a 2 MiB L2.  Each loop reads it when called.
+# Entries per chunk of every chunked loop of arcscat: the row panels of
+# the S assembly (about this many entries each, one row at least) and the
+# row chunks of the near and far fields.  Their temporaries take about 40
+# bytes an entry, so one chunk's fit in a 2 MiB L2.  Each loop reads it
+# when called.
 CHUNK_ENTRIES = 1 << 14
 
 
@@ -68,40 +68,17 @@ def hankel1_1(x):
     return _hankel(x, "hankel1_1", special.j1, special.y1)
 
 
-def _a1a2_offdiag(k, dist, log_dcos, out, pool=None):
+def _a1a2_offdiag(k, dist, log_dcos, out):
     """A1 (real, returned) and A2 (complex, written into ``out``) from
-    precomputed distances R and ln|cos t - cos t'|, arrays of one shape
-    of at most two dimensions; ``out`` may be a strided view, such as
-    the rows of a stored block of S.
-
-    The entries are filled in row chunks of about ``CHUNK_ENTRIES``
-    entries (one row at least), so the temporaries stay bounded whatever
-    the size.  With a thread pool and more than one chunk, the chunks go
-    to the pool's workers; the scipy ufuncs release the interpreter
-    lock, and every entry gets the same arithmetic as in the serial
-    call, so the result is bitwise the same.  A pool gains little within
-    about 0.2 s of a multithreaded BLAS call, while OpenBLAS's idle
-    worker busy-waits on the other core.
-    """
-    d, lg, a2 = (np.atleast_2d(a) for a in (dist, log_dcos, out))
-    a1 = np.empty(d.shape)
-    step = max(1, CHUNK_ENTRIES // max(1, d.shape[1]))
-    spans = [(lo, min(lo + step, len(d))) for lo in range(0, len(d), step)]
-
-    def fill(lo, hi):
-        kr = k * d[lo:hi]
-        j0, y0 = special.j0(kr), special.y0(kr)
-        a1[lo:hi] = j0 / (-2.0 * np.pi)
-        a2.real[lo:hi] = j0 * (lg[lo:hi] / (2.0 * np.pi)) - 0.25 * y0
-        a2.imag[lo:hi] = 0.25 * j0
-
-    if pool is None or len(spans) == 1:
-        for span in spans:
-            fill(*span)
-    else:
-        for f in [pool.submit(fill, *span) for span in spans]:
-            f.result()
-    return a1.reshape(np.shape(dist))
+    precomputed distances R and ln|cos t - cos t'|, arrays of one shape;
+    ``out`` may be a strided view, such as the rows of a stored block of
+    S.  The caller bounds the size: the S build passes panels of about
+    ``CHUNK_ENTRIES`` entries."""
+    kr = k * dist
+    j0, y0 = special.j0(kr), special.y0(kr)
+    out.real = j0 * (log_dcos / (2.0 * np.pi)) - 0.25 * y0
+    out.imag = 0.25 * j0
+    return j0 / (-2.0 * np.pi)
 
 
 def _a2_diagonal(k, tau):

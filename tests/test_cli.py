@@ -378,6 +378,20 @@ def test_fieldmap_bad_rect_rejected_before_the_solve(tmp_path, monkeypatch, rect
     assert not out.exists()
 
 
+def test_fieldmap_res_too_large_to_allocate_fails_before_the_solve(tmp_path, monkeypatch):
+    # the pixel points are built first; the 74.5 GiB request is refused
+    # at once, so nothing is allocated and no S is built
+    builds = []
+    real = scattering.build_S_matrix
+    monkeypatch.setattr(scattering, "build_S_matrix",
+                        lambda *args: builds.append(args) or real(*args))
+    with pytest.raises(SystemExit, match=re.escape(
+            "error: --res 100000x100000 too large: its points do not fit in memory")):
+        run(["fieldmap", "--arc", "strip", "--ratio", "1", "--n", "64", "--res", "100000x100000",
+             "--out", str(tmp_path / "map")])
+    assert builds == []
+
+
 def test_tables_strip_tm(tmp_path):
     out = tmp_path / "tab"
     rc = run(["tables", "--table", "strip-tm", "--cap", "50", "--out", str(out)])

@@ -11,7 +11,6 @@ eigenvalue formulas.
 import itertools
 import math
 import os
-import sys
 import threading
 from types import SimpleNamespace
 
@@ -435,22 +434,24 @@ def test_packed_s_keeps_little_more_than_half_the_full_matrix():
     assert s.entries.nbytes <= 0.55 * 16 * n ** 2
 
 
-def test_s_build_evaluates_the_kernel_in_l2_sized_panels(monkeypatch):
+@pytest.mark.parametrize("n,evaluations", [pytest.param(512, 147394, id="512"),
+                                           pytest.param(2048, 2123440, id="2048")])
+def test_s_build_evaluates_the_kernel_in_l2_sized_panels(monkeypatch, n, evaluations):
     # the stored blocks are sized for the products, the panels for the
-    # J0/Y0 temporaries: their evaluations stay those of the 16384-entry
-    # panels, diagonal squares included, with a panel cut short at the
-    # block boundary at row 256
+    # J0/Y0 temporaries: every panel holds at most CHUNK_ENTRIES entries,
+    # and the evaluations are those of these panels, diagonal squares
+    # included, with panels cut short at the block boundaries
     sizes = []
     real = operators._a1a2_offdiag
 
-    def counting(k, dist, dcos, out, pool):
+    def counting(k, dist, dcos, out):
         sizes.append(dist.size)
-        return real(k, dist, dcos, out, pool)
+        return real(k, dist, dcos, out)
 
     monkeypatch.setattr(operators, "_a1a2_offdiag", counting)
     arc = make_arc("strip")
-    build_S_matrix(arc, wavenumber_for_ratio(arc, 20.0), theta_grid(512))
-    assert sum(sizes) == 147394
+    build_S_matrix(arc, wavenumber_for_ratio(arc, 20.0), theta_grid(n))
+    assert sum(sizes) == evaluations
     assert max(sizes) <= specfun.CHUNK_ENTRIES
 
 
@@ -461,25 +462,24 @@ def test_s_build_panels_are_capped_at_one_stored_block(monkeypatch, n, block_byt
     # A panel ends at its stored block's last row, since it is written in
     # place in its block, so it holds at most one block's entries: the
     # ROW_BLOCK_BYTES / 16 a block reaches and less than one more row.
-    # With 40-64 KiB blocks the panel budget max(CHUNK_ENTRIES, N^2/64)
-    # exceeds every block, as at the default above N ~ 2900, and each
-    # block is then exactly one panel.  The in-place panels still give S
-    # bitwise.
+    # With 40-64 KiB blocks the panel budget CHUNK_ENTRIES exceeds every
+    # block, and each block is then exactly one panel.  The in-place
+    # panels still give S bitwise.
     monkeypatch.setattr(operators, "ROW_BLOCK_BYTES", block_bytes)
     spans = []
     real = operators._a1a2_offdiag
 
-    def recording(k, dist, dcos, out, pool):
+    def recording(k, dist, dcos, out):
         h, m = dist.shape
         spans.append((n - m, n - m + h))
-        return real(k, dist, dcos, out, pool)
+        return real(k, dist, dcos, out)
 
     monkeypatch.setattr(operators, "_a1a2_offdiag", recording)
     arc = make_arc("spiral")
     k = wavenumber_for_ratio(arc, 20.0)
     g = theta_grid(n)
     s = build_S_matrix(arc, k, g)
-    assert block_bytes // 16 + n <= max(specfun.CHUNK_ENTRIES, n * n // 64)
+    assert block_bytes // 16 + n <= specfun.CHUNK_ENTRIES
     assert spans == list(zip(s.rows, s.rows[1:]))
     assert max((hi - lo) * (n - lo) for lo, hi in spans) < block_bytes // 16 + n
     assert same_bits(s.dense(), reference_s_entries(arc, k, g))
@@ -487,20 +487,19 @@ def test_s_build_panels_are_capped_at_one_stored_block(monkeypatch, n, block_byt
 
 def test_s_build_holds_little_beyond_s(allocation_peak):
     # each panel is written in place in its stored block, so the build
-    # holds S, one panel's distances, log gaps, A1 and R, and one pool
-    # chunk per worker, not a complex copy of every panel as well
+    # holds S and one L2-sized panel's distances, log gaps, J0, Y0, A1
+    # and R, not a complex copy of every panel as well
     n = 2048
     arc = make_arc("spiral")
     k = wavenumber_for_ratio(arc, 800.0 * n / 6400)
     built = []
     peak = allocation_peak(lambda: built.append(build_S_matrix(arc, k, theta_grid(n))))
-    assert peak - built[0].entries.nbytes <= 4 * 2 ** 20
+    assert peak - built[0].entries.nbytes <= 2 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------
-# triangle assembly on a thread pool, against the serial full-matrix loop
+# triangle assembly in panels, against the serial full-matrix loop
 # ---------------------------------------------------------------------------
-# panels hold CHUNK_ENTRIES entries up to N = 1024 and N^2/64 beyond it
 @pytest.mark.parametrize("kind,n", [
     *itertools.product(["strip", "halfcircle", "parabola", "spiral"], [4, 6, 250, 400, 512]),
     ("spiral", 1024), ("spiral", 2048)])
@@ -511,84 +510,22 @@ def test_s_matrix_bitwise_equals_full_matrix_loop(kind, n):
     assert same_bits(build_S_matrix(arc, k, g).dense(), reference_s_entries(arc, k, g))
 
 
-def spiral_case(n=400):
-    arc = make_arc("spiral")
-    return arc, wavenumber_for_ratio(arc, 50.0), theta_grid(n)
-
-
-def small_pool_tasks(monkeypatch, cores):
-    """Pretend to have ``cores`` usable cores, and shrink the chunk budget
-    so that the N^2/64-entry panels of a few-hundred-node S span several
-    J0/Y0 tasks of the pool."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+def test_s_build_starts_no_thread(monkeypatch):
+    # two usable cores and small chunks start no thread: every j0 of the
+    # build runs on the calling thread
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     monkeypatch.setattr(specfun, "CHUNK_ENTRIES", 1 << 10)
+    calls = []
 
-
-def recording_j0(calls):
-    """A stand-in for scipy.special in specfun whose j0 records the
-    calling thread and the live thread count."""
     def j0(x):
         calls.append((threading.current_thread(), threading.active_count()))
         return special.j0(x)
-    return SimpleNamespace(j0=j0, y0=special.y0)
-
-
-def test_s_matrix_bitwise_under_fast_thread_switching(monkeypatch):
-    # more workers than this machine may have cores, and a thread switch
-    # every microsecond
-    small_pool_tasks(monkeypatch, 4)
-    arc, k, g = spiral_case(512)
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        entries = build_S_matrix(arc, k, g).dense()
-    finally:
-        sys.setswitchinterval(old)
-    assert same_bits(entries, reference_s_entries(arc, k, g))
-
-
-def test_s_matrix_pool_threads_bounded_by_cores(monkeypatch):
-    small_pool_tasks(monkeypatch, 2)
-    calls = []
-    monkeypatch.setattr(specfun, "special", recording_j0(calls))
-    before = threading.active_count()
-    build_S_matrix(*spiral_case())
-    workers = {t for t, _ in calls if t is not threading.current_thread()}
-    assert 1 <= len(workers) <= 2
-    assert max(count for _, count in calls) <= before + 2
-
-
-def test_s_matrix_worker_error_propagates(monkeypatch):
-    small_pool_tasks(monkeypatch, 2)
-    caller, errors = [], []
-
-    def j0(x):
-        if threading.current_thread() is not caller[0]:
-            raise FloatingPointError("j0 failed in a pool worker")
-        return special.j0(x)
 
     monkeypatch.setattr(specfun, "special", SimpleNamespace(j0=j0, y0=special.y0))
-
-    def run():
-        try:
-            build_S_matrix(*spiral_case())
-        except FloatingPointError as exc:
-            errors.append(exc)
-
-    thread = threading.Thread(target=run)
-    caller.append(thread)
-    thread.start()
-    thread.join(timeout=60.0)
-    assert not thread.is_alive()
-    assert [str(e) for e in errors] == ["j0 failed in a pool worker"]
-
-
-def test_s_matrix_on_one_core_starts_no_thread(monkeypatch):
-    small_pool_tasks(monkeypatch, 1)
-    calls = []
-    monkeypatch.setattr(specfun, "special", recording_j0(calls))
     before = threading.active_count()
-    arc, k, g = spiral_case()
+    arc = make_arc("spiral")
+    k = wavenumber_for_ratio(arc, 50.0)
+    g = theta_grid(400)
     entries = build_S_matrix(arc, k, g).dense()
     assert calls
     assert all(t is threading.current_thread() and count == before for t, count in calls)

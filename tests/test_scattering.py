@@ -670,6 +670,13 @@ def test_near_field_rejects_a_bad_mask_distance(mask_distance):
         near_field(sol, [[0.0, 1e-9]], mask_distance=mask_distance)
 
 
+@pytest.mark.parametrize("mask_distance", [True, 1 + 0j, "0.1"])
+def test_near_field_rejects_a_non_real_mask_distance(mask_distance):
+    sol = make_solution("TE_S", theta_grid(32), np.ones(32, dtype=complex), k=3.0)
+    with pytest.raises(TypeError, match="mask_distance must be a real number"):
+        near_field(sol, [[0.0, 0.5]], mask_distance=mask_distance)
+
+
 @pytest.mark.parametrize("formulation", ["TE_S", "TM_N"])
 def test_near_field_on_a_node_is_nan_whatever_the_mask(formulation):
     arc = make_arc("strip")
@@ -982,10 +989,7 @@ TRACED_OPERATOR_ATTRIBUTES = ("_a1a2_offdiag", "_a2_diagonal", "eval_arc", "buil
 def test_traced_operator_attributes_run_on_the_main_thread(monkeypatch):
     # The benchmark's tracer wraps these module attributes with spans on
     # one shared stack, so they may only be called from the thread that
-    # runs the solve, never from a pool worker of the S assembly.  Two
-    # cores and small J0/Y0 tasks make the N = 400 assembly use the pool.
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    monkeypatch.setattr(specfun, "CHUNK_ENTRIES", 1 << 10)
+    # runs the solve: no arcscat call leaves the calling thread.
     calls = {}
     for name in TRACED_OPERATOR_ATTRIBUTES:
         def guard(*args, _orig=getattr(operators, name), _name=name, **kwargs):
