@@ -361,8 +361,13 @@ def main(argv=None) -> int:
         raise SystemExit("error: --maxit must be at least 1")
     if "tol" in args and not 0.0 < args.tol < 1.0:
         raise SystemExit("error: --tol must be in (0, 1)")
-    if "obs" in args and args.obs < 1:
-        raise SystemExit("error: --obs must be at least 1")
+    if "obs" in args:
+        if args.obs < 1:
+            raise SystemExit("error: --obs must be at least 1")
+        try:  # the far field's (obs, 2) directions, asked for before any S is built
+            np.empty((args.obs, 2))
+        except (MemoryError, ValueError):  # ValueError: beyond numpy's largest array
+            raise SystemExit(f"error: --obs {args.obs} too large: its directions do not fit in memory")
     if "inc_deg" in args and not np.isfinite(args.inc_deg):
         raise SystemExit("error: --inc-deg must be finite")
     return args.func(args)

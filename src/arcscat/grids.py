@@ -23,6 +23,8 @@ helpers operate along the last axis, so a stack of densities (batch, N)
 transforms in one call.  T0 maps degree N-1 input onto cosine degree N;
 the top mode vanishes identically at the nodes, so resampling drops it
 (callers that need it keep coefficients instead, see ``t0_coeffs``).
+``chop`` reads from a row of coefficients how many of them stand above
+its rounding plateau.
 """
 
 from __future__ import annotations
@@ -99,6 +101,50 @@ def values_from_coeffs(coeffs: np.ndarray) -> np.ndarray:
     x = coeffs.copy()
     x[..., 1:] *= 0.5
     return scipy.fft.dct(x, type=3, axis=-1)
+
+
+def chop(coeffs: np.ndarray) -> int:
+    """How many leading coefficients of a decaying sequence to keep: 1 +
+    the last mode above the tail's noise plateau, by Chebfun's
+    ``standardChop`` (Aurentz & Trefethen, ACM TOMS 43, 2017) at its
+    default tolerance, tol = machine epsilon.
+
+    The magnitudes are replaced by their nonincreasing envelope,
+    normalized to start at 1.  A plateau starts at the first mode j
+    (1-based) whose envelope e_j is followed, at mode j2 = 1.25 j + 5,
+    by a value above r e_j, with r = 3 (1 - log e_j / log tol): r runs
+    from 0 at e_j = tol to 1 at tol^(2/3), so a plateau near tol^(2/3)
+    must be flat and one near tol need not be.  Without a plateau, or
+    with fewer than 17 coefficients, all n are kept.  With one, the cut
+    is where log10 of the envelope up to j2, plus a line rising by
+    log10(1 / tol) / 3 over those modes, is least, which biases it
+    toward the plateau's start.  An all-zero sequence keeps 1.
+    """
+    magnitudes = np.abs(coeffs)
+    n = len(magnitudes)
+    if n < 17:
+        return n
+    envelope = np.maximum.accumulate(magnitudes[::-1])[::-1]
+    if envelope[0] == 0.0:
+        return 1
+    envelope = envelope / envelope[0]
+    tol = np.finfo(float).eps
+    j = np.arange(2, n + 1)
+    j2 = np.floor(1.25 * j + 5.5).astype(int)  # rounded half up, as in Matlab
+    j, j2 = j[j2 <= n], j2[j2 <= n]
+    e1, e2 = envelope[j - 1], envelope[j2 - 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        plateau = (e1 == 0.0) | (e2 / e1 > 3.0 * (1.0 - np.log(e1) / np.log(tol)))
+    if not plateau.any():
+        return n
+    end = int(j2[np.argmax(plateau)])
+    floor = tol ** (7.0 / 6.0)
+    above = int(np.sum(envelope >= floor))
+    envelope = envelope[:min(end, above + 1)].copy()
+    if above < end:
+        envelope[-1] = floor
+    biased = np.log10(envelope) + np.linspace(0.0, -np.log10(tol) / 3.0, len(envelope))
+    return max(int(np.argmin(biased)), 1)
 
 
 def sine_coeffs(values: np.ndarray) -> np.ndarray:

@@ -42,7 +42,7 @@ There are three groups.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import scipy.fft
@@ -113,12 +113,26 @@ class OperatorMatrix:
 @dataclass(frozen=True)
 class NFrame:
     """Node data of one (arc, k, grid): the points (N x 2), the speed tau,
-    the unit normals (N x 2) and the Ng weight k^2 sin^2 theta."""
+    the unit normals (N x 2) and the Ng weight k^2 sin^2 theta.  It also
+    keeps the frames of the same arc and k on fewer nodes that
+    ``reduced`` has evaluated, so every holder of the frame shares them."""
 
     points: np.ndarray
     tau: np.ndarray
     normals: np.ndarray
     ng_weight: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "_reduced", {})
+
+    def reduced(self, arc: Arc, k: float, m: int) -> NFrame:
+        """The frame of this frame's arc and k on the m-node grid,
+        evaluated on the first request for m and kept.  Threads that race
+        on a first request may each evaluate it, which wastes work but is
+        correct: every evaluation gives the same frame."""
+        if m not in self._reduced:
+            self._reduced[m] = n_frame(arc, k, ThetaGrid(m))
+        return self._reduced[m]
 
 
 def n_frame(arc: Arc, k: float, grid: ThetaGrid) -> NFrame:
@@ -237,7 +251,7 @@ def build_S_matrix(arc: Arc, k: float, grid: ThetaGrid) -> OperatorMatrix:
                           block[lo - r0 : hi - r0, lo - r0 :])
             block[lo - r0 : hi - r0, : lo - r0] = block[: lo - r0, lo - r0 : hi - r0].T
             lo = hi
-    for values in (s.entries, s.weight, *vars(frame).values()):
+    for values in (s.entries, s.weight, *(getattr(frame, f.name) for f in fields(frame))):
         values.flags.writeable = False
     return s
 

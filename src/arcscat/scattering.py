@@ -50,18 +50,11 @@ import scipy.fft
 
 from . import specfun
 from .geometry import Arc
-from .grids import (
-    ThetaGrid,
-    coeffs_from_values,
-    nearest_admissible,
-    theta_grid,
-    values_from_coeffs,
-)
+from .grids import ThetaGrid, chop, coeffs_from_values, values_from_coeffs
 from .linalg import SolveReport, gmres, gmres_limits
 from .operators import (
     NFrame,
     build_S_matrix,
-    n_frame,
     operator_action,
     s0tau_solve_values,
 )
@@ -418,19 +411,43 @@ def _max_spacing(points: np.ndarray) -> float:
     return float(np.max(np.hypot(np.diff(points[:, 0]), np.diff(points[:, 1]))))
 
 
-# Cosine modes of the near-field density below this share of its peak are
-# dropped when the density is resampled to fewer nodes.
-DENSITY_CUTOFF = 1e-14
+# The share of its peak below which near_field takes the kernel's cosine
+# coefficients to have ended.
+KERNEL_CUTOFF = 1e-14
 # Arc nodes the distance bound of near_field measures against.
 COARSE_NODES = 64
 
 
+def _off_node_sums(dx: np.ndarray, dy: np.ndarray, normals: np.ndarray, density: np.ndarray,
+                   k: float, w: float, tm: bool) -> np.ndarray:
+    """The sums of ``_layer_sums`` from the offsets dx, dy of the points
+    from the nodes, none of them zero, in fewer passes: the TM kernel's
+    real factor is formed apart from its one complex product, and every
+    constant is applied to the sums, so the last bits differ from the
+    masked path's.  The distances keep ``np.hypot``: the root of the
+    squares is 7 times faster but rounds worse, and the Hankel functions
+    of k times it moved the strip's field at L/lambda = 20 by 1.1e-14
+    of its peak, against 6.9e-15 with hypot."""
+    dist = np.hypot(dx, dy)
+    if not tm:
+        return (0.25j * w) * (hankel1_0(k * dist) @ density)
+    # grad_y G . n_y with G = (i/4) H_0^1(k |x - y|)
+    ratio = dx * normals[:, 0]
+    ratio += dy * normals[:, 1]
+    ratio /= dist
+    kernel = hankel1_1(k * dist)
+    kernel *= ratio
+    return (0.25j * k * w) * (kernel @ density)
+
+
 def _layer_sums(pts: np.ndarray, nodes_xy: np.ndarray, normals: np.ndarray,
-                density: np.ndarray, k: float, w: float, mask_distance: float,
+                density: np.ndarray, k: float, w: float, mask_distance: Optional[float],
                 tm: bool) -> np.ndarray:
     """w * sum_j K(x, r_j) density_j at each point x, where K is the
     single-layer (TE) or double-layer (TM) kernel; points closer than
-    ``mask_distance`` to a node, or on one, are NaN."""
+    ``mask_distance`` to a node, or on one, are NaN.  With no mask
+    distance (None) every point must lie off the nodes: no distance is
+    compared, and the sums take the fewer passes of ``_off_node_sums``."""
     count = len(pts)
     if count == 1:
         # a lone point is evaluated as a two-row block, like any other
@@ -440,6 +457,9 @@ def _layer_sums(pts: np.ndarray, nodes_xy: np.ndarray, normals: np.ndarray,
         block = pts[rows]
         dx = block[:, 0][:, None] - nodes_xy[:, 0][None, :]
         dy = block[:, 1][:, None] - nodes_xy[:, 1][None, :]
+        if mask_distance is None:
+            out[rows] = _off_node_sums(dx, dy, normals, density, k, w, tm)
+            continue
         dist = np.hypot(dx, dy)
         closest = dist.min(axis=1)
         # a point on a node is masked even when mask_distance is 0
@@ -455,16 +475,6 @@ def _layer_sums(pts: np.ndarray, nodes_xy: np.ndarray, normals: np.ndarray,
         vals[near] = np.nan + 1j * np.nan
         out[rows] = vals
     return out[:count]
-
-
-def _node_ladder(n: int, fewest: float) -> np.ndarray:
-    """n and the admissible sizes at half-octave steps below it that are
-    at least ``fewest``, ascending."""
-    sizes, target = [n], n / math.sqrt(2.0)
-    while (size := nearest_admissible(round(target))) >= fewest and size < sizes[-1]:
-        sizes.append(size)
-        target /= math.sqrt(2.0)
-    return np.array(sizes[::-1])
 
 
 def _distance_bound(pts: np.ndarray, nodes_xy: np.ndarray, rho: float) -> np.ndarray:
@@ -487,9 +497,7 @@ def _node_counts(pts: np.ndarray, frame: NFrame, grid: ThetaGrid, k: float,
                  coeffs: np.ndarray, mask_distance: float) -> np.ndarray:
     """The node count M <= N of each point's rule (see ``near_field``)."""
     n = grid.n
-    mags = np.abs(coeffs)
-    above = np.flatnonzero(mags > DENSITY_CUTOFF * mags.max())
-    b_sigma = above[-1] + 1.0 if above.size else 1.0
+    b_sigma = chop(coeffs)
     rho = _theta_speed(frame, grid)
     b_far = k * rho + 2.0 * np.cbrt(k * rho) + 8.0
     # B_K + excess is the kernel's bandwidth at rounding level, by the
@@ -497,18 +505,24 @@ def _node_counts(pts: np.ndarray, frame: NFrame, grid: ThetaGrid, k: float,
     excess = 10.0 * np.cbrt(k * rho) + 4.0
 
     counts = np.full(len(pts), n)
-    ladder = _node_ladder(n, 0.5 * (b_far + min(b_far + excess, b_sigma)))
-    if len(ladder) == 1:
+    # the admissible sizes from the fewest any point may take up to N
+    sizes, size = [], math.ceil(0.5 * (b_far + min(b_far + excess, b_sigma)))
+    while (size := scipy.fft.next_fast_len(size, real=True)) < n:
+        sizes.append(size)
+        size += 1
+    if not sizes:
         return counts
+    sizes = np.array(sizes + [n])
     d = _distance_bound(pts, frame.points, rho)
     far = d >= mask_distance  # so d >= 0
     # the cosine coefficients of an integrand analytic in a strip of
     # half-width a decay like exp(-a m), so they fall below the cutoff
-    # beyond mode floor(ln(1 / DENSITY_CUTOFF)) / a
+    # beyond mode floor(ln(1 / KERNEL_CUTOFF)) / a; at d = 0 this is
+    # infinite, so a point on the arc takes N nodes
     with np.errstate(divide="ignore"):
-        b_kernel = b_far + math.floor(-math.log(DENSITY_CUTOFF)) * rho / d[far]
-    steps = np.searchsorted(ladder, 0.5 * (b_kernel + np.minimum(b_kernel + excess, b_sigma)))
-    counts[far] = ladder[np.minimum(steps, len(ladder) - 1)]
+        b_kernel = b_far + math.floor(-math.log(KERNEL_CUTOFF)) * rho / d[far]
+    steps = np.searchsorted(sizes, 0.5 * (b_kernel + np.minimum(b_kernel + excess, b_sigma)))
+    counts[far] = sizes[np.minimum(steps, len(sizes) - 1)]
     return counts
 
 
@@ -526,40 +540,51 @@ def near_field(sol: Solution, points: np.ndarray,
     Each point is evaluated with the node rule on M <= N nodes, chosen
     from two bandwidths (Trefethen & Weideman, SIAM Rev. 56, 2014):
 
-    * the density's, B_sigma: 1 + the last cosine mode of the quadrature
-      density (the layer density times tau, and times sin^2 theta for
-      TM) above ``DENSITY_CUTOFF`` (1e-14) of its peak;
+    * the density's, B_sigma: ``grids.chop`` of the cosine coefficients
+      of the quadrature density (the layer density times tau, and times
+      sin^2 theta for TM), 1 + its last mode above the tail's rounding
+      plateau.  Where the coefficients end on a 1-2e-14 plateau (TE_S on
+      the strip at L/lambda = 20, N = 512, at 15 or 141 degrees), chop
+      reads about 100 modes where a 1e-14 cutoff read about 500;
     * the kernel's at distance d from the arc, B_K(d) = k rho +
       2 (k rho)^(1/3) + 8 + 32 rho / d with rho = max tau sin theta: the
       integrand is analytic in a strip of half-width about d / rho in
-      theta, and 32 is ln(1 / ``DENSITY_CUTOFF``) rounded down.  d is a
+      theta, and 32 is ln(1 / ``KERNEL_CUTOFF``) rounded down.  d is a
       lower bound on the distance: the distance to ``COARSE_NODES``
       evenly picked nodes, less the arc length between them.
 
-    M is the smallest size of a ladder, N and the admissible sizes at
-    half-octave steps below it, that is at least (B_K + min(B_K + E,
-    B_sigma)) / 2, with E = 10 (k rho)^(1/3) + 4: the M-node rule
-    integrates cosine modes below 2M exactly, so the product of kernel
-    and density is integrated exactly up to the cutoff.  B_K + E is the
-    kernel's bandwidth at rounding level, by the excess rule of
-    ``far_field`` (k rho + 12 (k rho)^(1/3) + 12): density modes beyond
-    it meet no kernel mode, so a density whose coefficients end on a
-    1-2e-14 rounding plateau costs no more nodes than the kernel asks.
+    M is the smallest admissible size, between the fewest any point may
+    take and N, that is at least (B_K + min(B_K + E, B_sigma)) / 2, with
+    E = 10 (k rho)^(1/3) + 4: the M-node rule integrates cosine modes
+    below 2M exactly, so the product of kernel and density is integrated
+    exactly up to the cutoff.  B_K + E is the kernel's bandwidth at
+    rounding level, by the excess rule of ``far_field`` (k rho +
+    12 (k rho)^(1/3) + 12): density modes beyond it meet no kernel mode.
     B_K alone is too low a cap: far from the arc it underestimates the
     kernel's rounding-level bandwidth (90 against 132 on the spiral at
     L/lambda = 10, d = 6.6), and there such a rule missed the N-node
     rule by 3e-12 of max |u|.  The density is resampled by truncating
-    its cosine coefficients to M modes, and the M-node points and
-    normals come from ``n_frame`` once per distinct M.
-    Points with d < ``mask_distance``, and every point when no ladder
+    its cosine coefficients to M modes.  The M-node points and normals
+    are evaluated once per discretization and M: the N-node frame, which
+    every Solution of the discretization shares, keeps them
+    (``NFrame.reduced``).
+
+    Points with d < ``mask_distance``, and every point when no admissible
     size below N suffices even far away (e.g. a marginal grid), take the
-    N-node rule with no distance pass, and their values and NaN masks
-    are those of the N-node rule bitwise.  On the 48 x 24 map of the
-    strip at L/lambda = 20 with N = 512, the rule evaluates 0.3 of the
-    P N kernel entries (B_sigma about 100), or 0.38 where the density
-    ends on a plateau (B_sigma about 500, e.g. TE_S at 141 degrees), and
-    agrees with the N-node rule to 1e-14 of max |u| (1e-12 on strip,
-    spiral, parabola and half-circle at L/lambda up to 50).
+    N-node rule with no distance pass, and their values and NaN masks are
+    those of the N-node rule bitwise.  Every other point lies at least
+    ``mask_distance``, and more than 0, off the arc, so its group
+    compares no distances and forms its kernel in fewer passes
+    (``_off_node_sums``).  On the 48 x 24 map of the strip at
+    L/lambda = 20 with N = 512, the rule evaluates 0.26-0.27 of the P N
+    kernel entries (0.30-0.38 with a 1e-14 density cutoff and sizes at
+    half-octave steps).  At points up to about 2 box sizes off the arc
+    (the probes of ``test_near_field_on_fewer_nodes_matches_the_n_node_rule``)
+    it agrees with the N-node rule to 1e-12 of max |u| on the strip,
+    spiral, parabola and half-circle at L/lambda up to 50.  Farther out
+    it need not: B_K(d) falls below the kernel's bandwidth there, and on
+    the spiral at L/lambda = 50 the miss reaches 1e-6 at d = 100
+    (1.2e-7 with the former cutoff and sizes; ROADMAP item 18, open).
 
     Points are evaluated in chunks of about ``specfun.CHUNK_ENTRIES``
     kernel entries (32 points at N = 512), and a point's value does not
@@ -588,11 +613,12 @@ def near_field(sol: Solution, points: np.ndarray,
     for m in np.unique(counts):
         rows = np.flatnonzero(counts == m)
         if m == grid.n:
-            nodes_xy, normals, values = frame.points, frame.normals, density
+            out[rows] = _layer_sums(pts[rows], frame.points, frame.normals, density, k,
+                                    np.pi / m, mask_distance, tm)
         else:
-            reduced = n_frame(sol.arc, k, theta_grid(m))
-            nodes_xy, normals = reduced.points, reduced.normals
-            values = values_from_coeffs(coeffs[:m])
-        out[rows] = _layer_sums(pts[rows], nodes_xy, normals, values, k,
-                                np.pi / m, mask_distance, tm)
+            # these points are at least mask_distance, and more than 0, off
+            # the arc (see _node_counts), so none is masked
+            reduced = frame.reduced(sol.arc, k, int(m))
+            out[rows] = _layer_sums(pts[rows], reduced.points, reduced.normals,
+                                    values_from_coeffs(coeffs[:m]), k, np.pi / m, None, tm)
     return out[0] if lone else out

@@ -392,6 +392,22 @@ def test_fieldmap_res_too_large_to_allocate_fails_before_the_solve(tmp_path, mon
     assert builds == []
 
 
+@pytest.mark.parametrize("command,obs", [
+    ("solve", "100000000000"), ("converge", "100000000000"), ("tables", "10" * 10)])
+def test_obs_too_large_to_allocate_fails_before_the_solve(tmp_path, monkeypatch, command, obs):
+    # 1e11 directions take 1.5 TiB and 1e19 exceed numpy's largest array:
+    # both are refused before any S is built, not after the solve
+    builds = []
+    real = scattering.build_S_matrix
+    monkeypatch.setattr(scattering, "build_S_matrix",
+                        lambda *args: builds.append(args) or real(*args))
+    problem = ["--table", "strip-te"] if command == "tables" else ["--arc", "strip", "--ratio", "1"]
+    with pytest.raises(SystemExit, match=re.escape(
+            f"error: --obs {obs} too large: its directions do not fit in memory")):
+        run([command, *problem, "--obs", obs, "--out", str(tmp_path)])
+    assert builds == []
+
+
 def test_tables_strip_tm(tmp_path):
     out = tmp_path / "tab"
     rc = run(["tables", "--table", "strip-tm", "--cap", "50", "--out", str(out)])

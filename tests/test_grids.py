@@ -10,6 +10,7 @@ from arcscat.geometry import make_arc
 from arcscat.grids import (
     ThetaGrid,
     chebyshev_derivative_coeffs,
+    chop,
     coeffs_from_values,
     d0_values,
     is_admissible,
@@ -25,6 +26,25 @@ from oracles import dv, speed
 def t0_tau_values(arc, grid, values):
     """T0 v / tau with tau from the node frame, as the N pipeline applies it."""
     return t0_values(values) / n_frame(arc, 1.0, grid).tau
+
+
+def test_chop_cuts_a_decay_at_the_knee_of_its_rounding_plateau():
+    # 2^-m down to 2^-46 = 1.4e-14, then 1-2e-14 of noise: 47 modes resolve it
+    rng = np.random.default_rng(1)
+    m = np.arange(256)
+    coeffs = np.where(m < 47, 0.5 ** m, 1e-14 * rng.uniform(1.0, 2.0, 256))
+    assert abs(chop(coeffs * rng.choice([-1.0, 1.0], 256)) - 47) <= 1
+
+
+def test_chop_keeps_a_decay_with_no_plateau_whole():
+    # 0.9^m ends at 1.4e-6: not resolved, so nothing is cut
+    assert chop(0.9 ** np.arange(128)) == 128
+    assert chop(0.5 ** np.arange(16)) == 16  # too short to judge
+
+
+def test_chop_of_zeros_keeps_one_coefficient():
+    assert chop(np.zeros(32)) == 1
+    assert chop(np.zeros(32, dtype=complex)) == 1
 
 
 def test_admissible_sizes():

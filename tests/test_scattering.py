@@ -18,7 +18,7 @@ import arcscat.operators as operators
 import arcscat.scattering as scattering
 import arcscat.specfun as specfun
 from arcscat.geometry import eval_arc, make_arc, wavenumber_for_ratio
-from arcscat.grids import coeffs_from_values, nearest_admissible, theta_grid
+from arcscat.grids import chop, coeffs_from_values, nearest_admissible, theta_grid
 from arcscat.linalg import SolveReport, gmres
 from arcscat.operators import (
     NFrame,
@@ -809,12 +809,13 @@ def test_near_field_map_evaluates_a_third_of_the_kernel_entries(monkeypatch):
 
 def test_near_field_asks_no_more_nodes_than_the_kernel_resolves(monkeypatch):
     # At 141 degrees the TE_S density's cosine coefficients sit on a
-    # 1-2e-14 plateau from mode 128 on, so B_sigma reads about 500 where
-    # about 100 modes resolve the density.  Density modes beyond the
-    # kernel's bandwidth at rounding level meet no kernel mode, so the
-    # rule caps B_sigma there: 0.378 of P N Hankel entries, where
-    # B_sigma alone asked for 0.733.  The 86-degree map, whose B_sigma is
-    # below that cap, keeps its 0.302.
+    # 1-2e-14 plateau from mode 128 on, so a 1e-14 cutoff reads B_sigma
+    # as about 500 where about 100 modes resolve the density.  Density
+    # modes beyond the kernel's bandwidth at rounding level meet no
+    # kernel mode, so the rule caps B_sigma there: 0.378 of P N Hankel
+    # entries, where B_sigma alone asked for 0.733.  The 86-degree map,
+    # whose B_sigma is below that cap, took 0.302.  With B_sigma from
+    # chop both maps take less (test_near_field_map_hankel_entries_are_pinned).
     entries = []
     real = scattering.hankel1_0
     monkeypatch.setattr(scattering, "hankel1_0", lambda x: entries.append(np.size(x)) or real(x))
@@ -833,6 +834,84 @@ def test_near_field_asks_no_more_nodes_than_the_kernel_resolves(monkeypatch):
         assert np.array_equal(np.isfinite(u), kept)
         assert np.max(np.abs(u[kept] - ref[kept])) <= 1e-12 * np.max(np.abs(ref[kept]))
     assert shares[141.0] <= 0.38 and shares[86.0] <= 0.303, shares
+
+
+def strip_map_points():
+    """The 48 x 24 map of the field-map benchmark around the strip."""
+    gx, gy = np.meshgrid(np.linspace(-2.0, 2.0, 48), np.linspace(1.5, -1.5, 24))
+    return np.column_stack([gx.ravel(), gy.ravel()])
+
+
+def hankel_entries(monkeypatch):
+    """The list of Hankel argument sizes that the near field evaluates."""
+    entries = []
+    for name in ("hankel1_0", "hankel1_1"):
+        real = getattr(scattering, name)
+        monkeypatch.setattr(scattering, name,
+                            lambda x, real=real: entries.append(np.size(x)) or real(x))
+    return entries
+
+
+def test_chop_reads_the_density_bandwidth_below_its_rounding_plateau():
+    # At 141 degrees the TE_S density's coefficients end on a 1-2e-14
+    # plateau from mode 128 on, so a 1e-14 cutoff read 509 modes where
+    # about 100 resolve it; at 86 degrees they fall below 1e-14 at mode 98.
+    arc = make_arc("strip")
+    k = wavenumber_for_ratio(arc, 20.0)
+    bandwidths = {}
+    for angle in (141.0, 86.0):
+        sol = solve("TE_S", arc, Incidence(angle, k), theta_grid(512))
+        coeffs = coeffs_from_values(scattering._quadrature_density(sol))
+        mags = np.abs(coeffs)
+        cutoff = np.flatnonzero(mags > 1e-14 * mags.max())[-1] + 1
+        bandwidths[angle] = (chop(coeffs), cutoff)
+    assert 90 <= bandwidths[141.0][0] <= 110 and bandwidths[141.0][1] > 500, bandwidths
+    assert abs(bandwidths[86.0][0] - bandwidths[86.0][1]) <= 2, bandwidths
+
+
+@pytest.mark.parametrize("formulation,angle,count", [
+    ("TE_S", 141.0, 155836), ("TE_S", 86.0, 153932), ("TM_NS", 141.0, 158360),
+    ("TE_S", 15.0, 156848)])
+def test_near_field_map_hankel_entries_are_pinned(formulation, angle, count, monkeypatch):
+    # The work of the benchmark's map, a count that does not depend on
+    # the host: 0.26-0.27 of the P N entries of the N-node rule (0.378,
+    # 0.302, 0.307 and 0.378 with a 1e-14 density cutoff and half-octave
+    # sizes).  Whatever the pins become, the maps whose TE_S densities
+    # end on rounding plateaus (15 and 141 degrees) stay below P N / 3.
+    entries = hankel_entries(monkeypatch)
+    arc = make_arc("strip")
+    k = wavenumber_for_ratio(arc, 20.0)
+    sol = solve(formulation, arc, Incidence(angle, k), theta_grid(512))
+    pts = strip_map_points()
+    entries.clear()
+    near_field(sol, pts)
+    assert sum(entries) <= len(pts) * 512 / 3
+    assert sum(entries) == count
+
+
+def test_reduced_frames_are_evaluated_once_per_discretization(monkeypatch):
+    # TE_S and TM_NS share the discretization's frame, which keeps the
+    # reduced frames: each reduced size evaluates the arc once, over both
+    # solutions and repeated calls.
+    arc = make_arc("strip")
+    k = wavenumber_for_ratio(arc, 20.0)
+    sols = [solve(f, arc, Incidence(141.0, k), theta_grid(512)) for f in ("TE_S", "TM_NS")]
+    frames, sizes = [], set()
+    real_eval_arc, real_sums = operators.eval_arc, scattering._layer_sums
+    monkeypatch.setattr(operators, "eval_arc",
+                        lambda arc, t: frames.append(len(t)) or real_eval_arc(arc, t))
+
+    def spy(pts, nodes_xy, *args):
+        sizes.add(len(nodes_xy))
+        return real_sums(pts, nodes_xy, *args)
+
+    monkeypatch.setattr(scattering, "_layer_sums", spy)
+    pts = strip_map_points()
+    for sol in sols + sols:
+        near_field(sol, pts)
+    reduced = sizes - {512}
+    assert len(reduced) > 5
+    assert sorted(frames) == sorted(reduced)
 
 
 def test_near_field_masks_points_on_arc():
