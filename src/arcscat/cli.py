@@ -37,6 +37,13 @@ from .scattering import (
     solve,
 )
 
+# The bytes per --obs direction that a command takes at its peak, as
+# tracemalloc counts them: 88 for a TM far field, plus 24 for each far
+# field held meanwhile (one in solve's self-check and in converge on two
+# grid sizes, two in a self-checked table; converge holds one more per
+# further grid size).
+FAR_FIELD_BYTES = 144
+
 _SPECTRUM_NAMES = {"S": "S", "N": "N", "NS": "NS", "ATK": "S0invS", "S0invS": "S0invS"}
 
 _TABLE_ROWS = [(50.0, 400), (200.0, 1600), (800.0, 6400)]
@@ -54,9 +61,12 @@ def _fmt(x: float) -> str:
 
 
 def _write_csv(path: Path, header: str, rows) -> None:
-    lines = [header]
-    lines.extend(",".join(row) for row in rows)
-    path.write_text("\n".join(lines) + "\n")
+    """Write the header and the rows line by line, so a long table is
+    never held as text."""
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(row) + "\n")
 
 
 def _parse_floats(text: str, count: int | None = None, name: str = "value"):
@@ -364,10 +374,10 @@ def main(argv=None) -> int:
     if "obs" in args:
         if args.obs < 1:
             raise SystemExit("error: --obs must be at least 1")
-        try:  # the far field's (obs, 2) directions, asked for before any S is built
-            np.empty((args.obs, 2))
-        except (MemoryError, ValueError):  # ValueError: beyond numpy's largest array
-            raise SystemExit(f"error: --obs {args.obs} too large: its directions do not fit in memory")
+        try:  # the far field's peak, asked for (not touched) before any S is built
+            np.empty(FAR_FIELD_BYTES * args.obs, dtype=np.uint8)
+        except (MemoryError, ValueError, OverflowError):  # beyond numpy's largest array
+            raise SystemExit(f"error: --obs {args.obs} too large: its far field does not fit in memory")
     if "inc_deg" in args and not np.isfinite(args.inc_deg):
         raise SystemExit("error: --inc-deg must be finite")
     return args.func(args)

@@ -114,8 +114,8 @@ class OperatorMatrix:
 class NFrame:
     """Node data of one (arc, k, grid): the points (N x 2), the speed tau,
     the unit normals (N x 2) and the Ng weight k^2 sin^2 theta.  It also
-    keeps the frames of the same arc and k on fewer nodes that
-    ``reduced`` has evaluated, so every holder of the frame shares them."""
+    keeps what ``kept`` has derived from its discretization (the near
+    field's frames on fewer nodes, say), so every holder shares it."""
 
     points: np.ndarray
     tau: np.ndarray
@@ -123,16 +123,16 @@ class NFrame:
     ng_weight: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "_reduced", {})
+        object.__setattr__(self, "_kept", {})
 
-    def reduced(self, arc: Arc, k: float, m: int) -> NFrame:
-        """The frame of this frame's arc and k on the m-node grid,
-        evaluated on the first request for m and kept.  Threads that race
-        on a first request may each evaluate it, which wastes work but is
-        correct: every evaluation gives the same frame."""
-        if m not in self._reduced:
-            self._reduced[m] = n_frame(arc, k, ThetaGrid(m))
-        return self._reduced[m]
+    def kept(self, key, make):
+        """make(), evaluated on the first request for key and kept.
+        Threads that race on a first request may each evaluate it, which
+        wastes work but is correct when, as here, every evaluation of one
+        key gives the same value."""
+        if key not in self._kept:
+            self._kept[key] = make()
+        return self._kept[key]
 
 
 def n_frame(arc: Arc, k: float, grid: ThetaGrid) -> NFrame:

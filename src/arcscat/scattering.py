@@ -55,6 +55,7 @@ from .linalg import SolveReport, gmres, gmres_limits
 from .operators import (
     NFrame,
     build_S_matrix,
+    n_frame,
     operator_action,
     s0tau_solve_values,
 )
@@ -329,6 +330,15 @@ def _phase_sums(points: np.ndarray, cols: np.ndarray, k: float, obs: np.ndarray)
     return np.concatenate((top, bottom.conj()))  # (m, columns)
 
 
+def _far_samples(points: np.ndarray, k: float):
+    """The centre c of the points' bounding box and M = 2L + 2, the
+    directions that resolve a far field summed about it (see
+    ``far_field``)."""
+    center = 0.5 * (points.min(axis=0) + points.max(axis=0))
+    kr = k * float(np.max(np.hypot(*(points - center).T)))
+    return center, 2 * math.ceil(kr + 12.0 * np.cbrt(kr) + 12.0) + 2
+
+
 def _interpolate_periodic(samples: np.ndarray, m: int) -> np.ndarray:
     """Trigonometric interpolation of an even number M of equispaced
     samples of a period (axis 0) to m > M equispaced samples: the FFT
@@ -340,7 +350,9 @@ def _interpolate_periodic(samples: np.ndarray, m: int) -> np.ndarray:
     padded[:h] = coeffs[:h]
     padded[m - h + 1:] = coeffs[h + 1:]
     padded[h] = padded[m - h] = 0.5 * coeffs[h]
-    return scipy.fft.ifft(padded, axis=0) * (m / count)
+    values = scipy.fft.ifft(padded, axis=0, overwrite_x=True)
+    values *= m / count
+    return values
 
 
 def far_field(sol: Solution, m: int) -> FarField:
@@ -380,9 +392,7 @@ def far_field(sol: Solution, m: int) -> FarField:
     if sol.formulation not in TE_FORMULATIONS:
         cols = sol.frame.normals * cols
     angles, obs = _directions(m)
-    center = 0.5 * (points.min(axis=0) + points.max(axis=0))
-    kr = k * float(np.max(np.hypot(*(points - center).T)))
-    samples = 2 * math.ceil(kr + 12.0 * np.cbrt(kr) + 12.0) + 2
+    center, samples = _far_samples(points, k)
     if samples < m:
         sums = _phase_sums(points - center, cols, k, _directions(samples)[1])
         sums = _interpolate_periodic(sums, m)
@@ -393,7 +403,9 @@ def far_field(sol: Solution, m: int) -> FarField:
     if sol.formulation in TE_FORMULATIONS:
         values = w * sums[:, 0]
     else:
-        values = (-1j * k * w) * np.sum(obs * sums, axis=1)
+        values = obs[:, 0] * sums[:, 0]
+        values += obs[:, 1] * sums[:, 1]
+        values *= -1j * k * w
     return FarField(angles_deg=angles, values=values)
 
 
@@ -418,36 +430,12 @@ KERNEL_CUTOFF = 1e-14
 COARSE_NODES = 64
 
 
-def _off_node_sums(dx: np.ndarray, dy: np.ndarray, normals: np.ndarray, density: np.ndarray,
-                   k: float, w: float, tm: bool) -> np.ndarray:
-    """The sums of ``_layer_sums`` from the offsets dx, dy of the points
-    from the nodes, none of them zero, in fewer passes: the TM kernel's
-    real factor is formed apart from its one complex product, and every
-    constant is applied to the sums, so the last bits differ from the
-    masked path's.  The distances keep ``np.hypot``: the root of the
-    squares is 7 times faster but rounds worse, and the Hankel functions
-    of k times it moved the strip's field at L/lambda = 20 by 1.1e-14
-    of its peak, against 6.9e-15 with hypot."""
-    dist = np.hypot(dx, dy)
-    if not tm:
-        return (0.25j * w) * (hankel1_0(k * dist) @ density)
-    # grad_y G . n_y with G = (i/4) H_0^1(k |x - y|)
-    ratio = dx * normals[:, 0]
-    ratio += dy * normals[:, 1]
-    ratio /= dist
-    kernel = hankel1_1(k * dist)
-    kernel *= ratio
-    return (0.25j * k * w) * (kernel @ density)
-
-
 def _layer_sums(pts: np.ndarray, nodes_xy: np.ndarray, normals: np.ndarray,
-                density: np.ndarray, k: float, w: float, mask_distance: Optional[float],
+                density: np.ndarray, k: float, w: float, mask_distance: float,
                 tm: bool) -> np.ndarray:
     """w * sum_j K(x, r_j) density_j at each point x, where K is the
     single-layer (TE) or double-layer (TM) kernel; points closer than
-    ``mask_distance`` to a node, or on one, are NaN.  With no mask
-    distance (None) every point must lie off the nodes: no distance is
-    compared, and the sums take the fewer passes of ``_off_node_sums``."""
+    ``mask_distance`` to a node, or on one, are NaN."""
     count = len(pts)
     if count == 1:
         # a lone point is evaluated as a two-row block, like any other
@@ -457,9 +445,6 @@ def _layer_sums(pts: np.ndarray, nodes_xy: np.ndarray, normals: np.ndarray,
         block = pts[rows]
         dx = block[:, 0][:, None] - nodes_xy[:, 0][None, :]
         dy = block[:, 1][:, None] - nodes_xy[:, 1][None, :]
-        if mask_distance is None:
-            out[rows] = _off_node_sums(dx, dy, normals, density, k, w, tm)
-            continue
         dist = np.hypot(dx, dy)
         closest = dist.min(axis=1)
         # a point on a node is masked even when mask_distance is 0
@@ -475,6 +460,26 @@ def _layer_sums(pts: np.ndarray, nodes_xy: np.ndarray, normals: np.ndarray,
         vals[near] = np.nan + 1j * np.nan
         out[rows] = vals
     return out[:count]
+
+
+def _phase_bandwidth(points: np.ndarray, k: float) -> int:
+    """B_phase: 1 + the last cosine mode above ``KERNEL_CUTOFF`` of its
+    peak of the far-field phase exp(-i k x . r) at the nodes r, the most
+    over the M directions x of ``far_field``.  Direction -x gives the
+    conjugate phase, whose coefficients have the same magnitudes, so
+    half of them are evaluated, in the row chunks of ``_row_chunks``."""
+    center, samples = _far_samples(points, k)
+    obs = _directions(samples)[1][: samples // 2]
+    local = points - center
+    bandwidth = 1
+    for rows in _row_chunks(len(obs), len(points)):
+        phase = -1j * k * (obs[rows] @ local.T)
+        np.exp(phase, out=phase)
+        mags = np.abs(coeffs_from_values(phase))
+        above = mags > KERNEL_CUTOFF * mags.max(axis=1, keepdims=True)
+        below = np.argmax(above[:, ::-1], axis=1)  # each row's trailing modes below
+        bandwidth = max(bandwidth, len(points) - int(below.min()))
+    return bandwidth
 
 
 def _distance_bound(pts: np.ndarray, nodes_xy: np.ndarray, rho: float) -> np.ndarray:
@@ -500,13 +505,16 @@ def _node_counts(pts: np.ndarray, frame: NFrame, grid: ThetaGrid, k: float,
     b_sigma = chop(coeffs)
     rho = _theta_speed(frame, grid)
     b_far = k * rho + 2.0 * np.cbrt(k * rho) + 8.0
+    # far away the kernel's bandwidth is its phase's, which b_far may miss
+    b_phase = frame.kept("phase_bandwidth", lambda: _phase_bandwidth(frame.points, k))
+    fewest = max(b_far, b_phase)
     # B_K + excess is the kernel's bandwidth at rounding level, by the
     # excess rule of far_field: density modes beyond it meet no kernel mode
     excess = 10.0 * np.cbrt(k * rho) + 4.0
 
     counts = np.full(len(pts), n)
     # the admissible sizes from the fewest any point may take up to N
-    sizes, size = [], math.ceil(0.5 * (b_far + min(b_far + excess, b_sigma)))
+    sizes, size = [], math.ceil(0.5 * (fewest + min(fewest + excess, b_sigma)))
     while (size := scipy.fft.next_fast_len(size, real=True)) < n:
         sizes.append(size)
         size += 1
@@ -520,7 +528,8 @@ def _node_counts(pts: np.ndarray, frame: NFrame, grid: ThetaGrid, k: float,
     # beyond mode floor(ln(1 / KERNEL_CUTOFF)) / a; at d = 0 this is
     # infinite, so a point on the arc takes N nodes
     with np.errstate(divide="ignore"):
-        b_kernel = b_far + math.floor(-math.log(KERNEL_CUTOFF)) * rho / d[far]
+        b_kernel = np.maximum(b_far + math.floor(-math.log(KERNEL_CUTOFF)) * rho / d[far],
+                              b_phase)
     steps = np.searchsorted(sizes, 0.5 * (b_kernel + np.minimum(b_kernel + excess, b_sigma)))
     counts[far] = sizes[np.minimum(steps, len(sizes) - 1)]
     return counts
@@ -546,12 +555,20 @@ def near_field(sol: Solution, points: np.ndarray,
       plateau.  Where the coefficients end on a 1-2e-14 plateau (TE_S on
       the strip at L/lambda = 20, N = 512, at 15 or 141 degrees), chop
       reads about 100 modes where a 1e-14 cutoff read about 500;
-    * the kernel's at distance d from the arc, B_K(d) = k rho +
-      2 (k rho)^(1/3) + 8 + 32 rho / d with rho = max tau sin theta: the
-      integrand is analytic in a strip of half-width about d / rho in
-      theta, and 32 is ln(1 / ``KERNEL_CUTOFF``) rounded down.  d is a
-      lower bound on the distance: the distance to ``COARSE_NODES``
-      evenly picked nodes, less the arc length between them.
+    * the kernel's at distance d from the arc, B_K(d) = max(k rho +
+      2 (k rho)^(1/3) + 8 + 32 rho / d, B_phase) with rho = max tau
+      sin theta.  The first term assumes the integrand analytic in a
+      strip of half-width about d / rho in theta (32 is
+      ln(1 / ``KERNEL_CUTOFF``) rounded down); d is a lower bound on the
+      distance: the distance to ``COARSE_NODES`` evenly picked nodes,
+      less the arc length between them.  Far away that term tends to
+      k rho + 2 (k rho)^(1/3) + 8, but the kernel's bandwidth tends to
+      B_phase, the last cosine mode above ``KERNEL_CUTOFF`` of the
+      far-field phase exp(-i k x . r), the most over the directions x of
+      ``far_field``: on the spiral the strip stays about 0.5 wide at any
+      distance, and B_phase is 355 against 282.5 for the first term
+      plus E at L/lambda = 50.  B_phase is evaluated once per
+      discretization.
 
     M is the smallest admissible size, between the fewest any point may
     take and N, that is at least (B_K + min(B_K + E, B_sigma)) / 2, with
@@ -560,31 +577,27 @@ def near_field(sol: Solution, points: np.ndarray,
     exactly up to the cutoff.  B_K + E is the kernel's bandwidth at
     rounding level, by the excess rule of ``far_field`` (k rho +
     12 (k rho)^(1/3) + 12): density modes beyond it meet no kernel mode.
-    B_K alone is too low a cap: far from the arc it underestimates the
-    kernel's rounding-level bandwidth (90 against 132 on the spiral at
-    L/lambda = 10, d = 6.6), and there such a rule missed the N-node
-    rule by 3e-12 of max |u|.  The density is resampled by truncating
-    its cosine coefficients to M modes.  The M-node points and normals
-    are evaluated once per discretization and M: the N-node frame, which
-    every Solution of the discretization shares, keeps them
-    (``NFrame.reduced``).
+    The density is resampled by truncating its cosine coefficients to M
+    modes.  The M-node points and normals, like B_phase, are evaluated
+    once per discretization: the N-node frame, which every Solution of
+    the discretization shares, keeps them (``NFrame.kept``).
 
     Points with d < ``mask_distance``, and every point when no admissible
     size below N suffices even far away (e.g. a marginal grid), take the
     N-node rule with no distance pass, and their values and NaN masks are
-    those of the N-node rule bitwise.  Every other point lies at least
-    ``mask_distance``, and more than 0, off the arc, so its group
-    compares no distances and forms its kernel in fewer passes
-    (``_off_node_sums``).  On the 48 x 24 map of the strip at
+    those of the N-node rule bitwise.  On the 48 x 24 map of the strip at
     L/lambda = 20 with N = 512, the rule evaluates 0.26-0.27 of the P N
-    kernel entries (0.30-0.38 with a 1e-14 density cutoff and sizes at
-    half-octave steps).  At points up to about 2 box sizes off the arc
-    (the probes of ``test_near_field_on_fewer_nodes_matches_the_n_node_rule``)
-    it agrees with the N-node rule to 1e-12 of max |u| on the strip,
-    spiral, parabola and half-circle at L/lambda up to 50.  Farther out
-    it need not: B_K(d) falls below the kernel's bandwidth there, and on
-    the spiral at L/lambda = 50 the miss reaches 1e-6 at d = 100
-    (1.2e-7 with the former cutoff and sizes; ROADMAP item 18, open).
+    kernel entries.  It agrees with the N-node rule to 1e-12 of
+    max |u| on the strip, spiral, parabola and half-circle at points up
+    to about 2 box sizes off the arc, at L/lambda up to 50 (the probes
+    of ``test_near_field_on_fewer_nodes_matches_the_n_node_rule``), and
+    at d = 15, 40 and 100 (the spiral at L/lambda = 10, 20 and 50, the
+    others at 20: ``test_near_field_far_from_the_arc_matches_the_n_node_rule``,
+    worst 1.5e-13).  Where k d is in the thousands the rounding of the
+    Hankel argument, about eps k d, moves the N-node rule itself: on the
+    strip at L/lambda = 20 and d = 100 (k d = 6283) one ulp of the
+    points moves it by 1.0e-12, and the two rules differ by up to
+    1.1e-12 (N = 256).
 
     Points are evaluated in chunks of about ``specfun.CHUNK_ENTRIES``
     kernel entries (32 points at N = 512), and a point's value does not
@@ -610,15 +623,14 @@ def near_field(sol: Solution, points: np.ndarray,
     coeffs = coeffs_from_values(density)
     counts = _node_counts(pts, frame, grid, k, coeffs, mask_distance)
     out = np.empty(len(pts), dtype=complex)
-    for m in np.unique(counts):
+    for m in map(int, np.unique(counts)):
         rows = np.flatnonzero(counts == m)
         if m == grid.n:
-            out[rows] = _layer_sums(pts[rows], frame.points, frame.normals, density, k,
-                                    np.pi / m, mask_distance, tm)
+            nodes_xy, normals, values = frame.points, frame.normals, density
         else:
-            # these points are at least mask_distance, and more than 0, off
-            # the arc (see _node_counts), so none is masked
-            reduced = frame.reduced(sol.arc, k, int(m))
-            out[rows] = _layer_sums(pts[rows], reduced.points, reduced.normals,
-                                    values_from_coeffs(coeffs[:m]), k, np.pi / m, None, tm)
+            reduced = frame.kept(("frame", m), lambda: n_frame(sol.arc, k, ThetaGrid(m)))
+            nodes_xy, normals = reduced.points, reduced.normals
+            values = values_from_coeffs(coeffs[:m])
+        out[rows] = _layer_sums(pts[rows], nodes_xy, normals, values, k,
+                                np.pi / m, mask_distance, tm)
     return out[0] if lone else out

@@ -1,5 +1,6 @@
 """Command-line drivers: file outputs, formats and determinism."""
 
+import os
 import re
 import weakref
 from types import SimpleNamespace
@@ -395,17 +396,49 @@ def test_fieldmap_res_too_large_to_allocate_fails_before_the_solve(tmp_path, mon
 @pytest.mark.parametrize("command,obs", [
     ("solve", "100000000000"), ("converge", "100000000000"), ("tables", "10" * 10)])
 def test_obs_too_large_to_allocate_fails_before_the_solve(tmp_path, monkeypatch, command, obs):
-    # 1e11 directions take 1.5 TiB and 1e19 exceed numpy's largest array:
-    # both are refused before any S is built, not after the solve
+    # 1e11 directions take 12 TiB at the far field's peak and 1e19 exceed
+    # numpy's largest array: both are refused before any S is built
     builds = []
     real = scattering.build_S_matrix
     monkeypatch.setattr(scattering, "build_S_matrix",
                         lambda *args: builds.append(args) or real(*args))
     problem = ["--table", "strip-te"] if command == "tables" else ["--arc", "strip", "--ratio", "1"]
     with pytest.raises(SystemExit, match=re.escape(
-            f"error: --obs {obs} too large: its directions do not fit in memory")):
+            f"error: --obs {obs} too large: its far field does not fit in memory")):
         run([command, *problem, "--obs", obs, "--out", str(tmp_path)])
     assert builds == []
+
+
+def test_obs_whose_directions_fit_but_far_field_does_not_fails_before_the_solve(tmp_path,
+                                                                               monkeypatch):
+    # memory / 64 directions: their (obs, 2) array takes a quarter of the
+    # memory, the command's peak 2.25 times the memory (refused unless the
+    # swap is larger than the memory)
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    obs = str(memory // 64)
+
+    def build(*args):
+        raise AssertionError("S built for an --obs that does not fit")
+
+    monkeypatch.setattr(scattering, "build_S_matrix", build)
+    with pytest.raises(SystemExit, match=re.escape(
+            f"error: --obs {obs} too large: its far field does not fit in memory")):
+        run(["solve", "--arc", "strip", "--ratio", "1", "--obs", obs, "--out", str(tmp_path)])
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--pol", "TM", "--form", "NS", "--self-check"],
+    ["solve", "--pol", "TE", "--form", "S", "--self-check"],
+    ["converge", "--pol", "TM", "--form", "NS", "--n", "16,32"]])
+def test_obs_probe_covers_what_the_command_allocates(tmp_path, allocation_peak, argv):
+    # the peak of the command after main's checks (the probe allocates
+    # FAR_FIELD_BYTES * obs itself), at N = 16 where the solve is small
+    obs = 1 << 16
+    command = [*argv, "--arc", "strip", "--ratio", "1", "--obs", str(obs), "--out", str(tmp_path)]
+    if "--n" not in argv:
+        command += ["--n", "16"]
+    args = cli.build_parser().parse_args(command)
+    assert allocation_peak(lambda: args.func(args)) <= cli.FAR_FIELD_BYTES * obs
 
 
 def test_tables_strip_tm(tmp_path):
