@@ -39,9 +39,8 @@ from .scattering import (
 
 # The bytes per --obs direction that a command takes at its peak, as
 # tracemalloc counts them: 88 for a TM far field, plus 24 for each far
-# field held meanwhile (one in solve's self-check and in converge on two
-# grid sizes, two in a self-checked table; converge holds one more per
-# further grid size).
+# field held meanwhile (one in solve's self-check and in converge, two in
+# a self-checked table).
 FAR_FIELD_BYTES = 144
 
 _SPECTRUM_NAMES = {"S": "S", "N": "N", "NS": "NS", "ATK": "S0invS", "S0invS": "S0invS"}
@@ -222,15 +221,14 @@ def cmd_converge(args) -> int:
             sizes.append(m)
     if len(sizes) < 2:
         raise SystemExit("error: converge requires at least two distinct grid sizes")
-    fields = {}
-    for grid in [_grid(n) for n in sizes]:  # every size checked before the first solve
-        sol = _run_solve(formulation, arc, inc, grid, args)
-        fields[grid.n] = far_field(sol, args.obs)
-    ref = fields[sizes[-1]]
+    grids = [_grid(n) for n in sizes]  # every size checked before the first solve
+    # the reference first, so that one far field is held beside the one in hand
+    ref = far_field(_run_solve(formulation, arc, inc, grids[-1], args), args.obs)
     rows = []
-    for n in sizes[:-1]:
-        rows.append([str(n), _fmt(far_field_error(fields[n], ref))])
-        print(f"n={n}: eps_r={rows[-1][1]}")
+    for grid in grids[:-1]:
+        sol = _run_solve(formulation, arc, inc, grid, args)
+        rows.append([str(grid.n), _fmt(far_field_error(far_field(sol, args.obs), ref))])
+        print(f"n={grid.n}: eps_r={rows[-1][1]}")
     _write_csv(_outdir(args) / "converge.csv", "n,eps_r", rows)
     return 0
 

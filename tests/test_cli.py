@@ -429,7 +429,7 @@ def test_obs_whose_directions_fit_but_far_field_does_not_fails_before_the_solve(
 @pytest.mark.parametrize("argv", [
     ["solve", "--pol", "TM", "--form", "NS", "--self-check"],
     ["solve", "--pol", "TE", "--form", "S", "--self-check"],
-    ["converge", "--pol", "TM", "--form", "NS", "--n", "16,32"]])
+    ["converge", "--pol", "TM", "--form", "NS", "--n", "16,24,32,40"]])
 def test_obs_probe_covers_what_the_command_allocates(tmp_path, allocation_peak, argv):
     # the peak of the command after main's checks (the probe allocates
     # FAR_FIELD_BYTES * obs itself), at N = 16 where the solve is small
